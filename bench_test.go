@@ -7,7 +7,10 @@ package hiddenlayer
 // produces the full-size numbers recorded in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/lstm"
 	"repro/internal/ngram"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -279,6 +283,78 @@ func BenchmarkLDAInference(b *testing.B) {
 			b.Fatal("bad theta")
 		}
 	}
+}
+
+// loadPathCorpus is the 20k-company datagen corpus the load-path stage
+// benchmarks share, with its JSONL bytes.
+var loadPathCorpus struct {
+	c     *corpus.Corpus
+	jsonl []byte
+}
+
+func getLoadPathCorpus(b *testing.B) (*corpus.Corpus, []byte) {
+	b.Helper()
+	if loadPathCorpus.c == nil {
+		gen, err := datagen.NewGenerator(datagen.DefaultConfig(20000, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := gen.Generate()
+		var buf bytes.Buffer
+		if err := c.WriteJSONL(&buf); err != nil {
+			b.Fatal(err)
+		}
+		loadPathCorpus.c, loadPathCorpus.jsonl = c, buf.Bytes()
+	}
+	return loadPathCorpus.c, loadPathCorpus.jsonl
+}
+
+// forLoadPathWorkers runs fn as sub-benchmarks at one worker and at
+// GOMAXPROCS workers: the stage's sequential baseline and its parallel
+// speedup (identical output either way).
+func forLoadPathWorkers(b *testing.B, fn func(b *testing.B)) {
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			par.SetWorkers(w)
+			defer par.SetWorkers(0)
+			fn(b)
+		})
+	}
+}
+
+// BenchmarkReadJSONL measures the batched corpus decode that opens every
+// ibserve boot and /admin/reload (the corpus.load_s stage).
+func BenchmarkReadJSONL(b *testing.B) {
+	c, data := getLoadPathCorpus(b)
+	forLoadPathWorkers(b, func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			got, err := corpus.ReadJSONL(bytes.NewReader(data))
+			if err != nil || got.N() != c.N() {
+				b.Fatalf("decoded %v companies, err %v", got, err)
+			}
+		}
+	})
+}
+
+// BenchmarkRepresentations measures the replayed-RNG fold-in that infers
+// every company's topic mixture on boot and reload (the
+// lda.representations_s stage).
+func BenchmarkRepresentations(b *testing.B) {
+	c, _ := getLoadPathCorpus(b)
+	docs := c.Sets()
+	m, err := lda.Train(lda.Config{Topics: 3, V: c.M(), BurnIn: 5, Iterations: 10},
+		docs[:2000], nil, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	forLoadPathWorkers(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if reps := m.Representations(docs, rng.New(1)); reps.Rows != len(docs) {
+				b.Fatal("bad representations")
+			}
+		}
+	})
 }
 
 // BenchmarkLSTMTrainingStep measures BPTT throughput (tokens/op reported as

@@ -270,7 +270,7 @@ func main() {
 		runtimeMetrics  = flag.Bool("runtime-metrics", false, "sample Go runtime health (go_* gauges, GC pauses) into /metrics")
 		runtimeInterval = flag.Duration("runtime-interval", 10*time.Second, "runtime sampler interval (each sample briefly stops the world)")
 	)
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for parallel index scans (deterministic at any value)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for parallel index scans and for the corpus decode and representation inference of boot and /admin/reload (deterministic at any value)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
 	chaosFlags := chaos.BindFlags(flag.CommandLine)

@@ -2,10 +2,14 @@ package corpus
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/par"
 )
 
 const testHdr = `{"format":"installbase-corpus/v1","categories":["a","b"]}` + "\n"
@@ -95,9 +99,17 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte("{not json"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer par.SetWorkers(0)
+		par.SetWorkers(4)
+		c4, err4 := ReadJSONL(bytes.NewReader(data))
+		par.SetWorkers(1)
 		c, err := ReadJSONL(bytes.NewReader(data))
 		if err != nil && c != nil {
 			t.Fatal("ReadJSONL returned both a corpus and an error")
+		}
+		// The batched decoder answers the same at any worker count.
+		if fmt.Sprint(err) != fmt.Sprint(err4) || !reflect.DeepEqual(c, c4) {
+			t.Fatalf("workers=1 and workers=4 disagree: %v vs %v", err, err4)
 		}
 		if err == nil {
 			// Accepted corpora must be internally consistent.

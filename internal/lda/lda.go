@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -468,7 +469,7 @@ func (m *Model) InferTheta(doc []int, g *rng.RNG) []float64 {
 	ndk := make([]float64, m.K)
 	for i, w := range doc {
 		if w < 0 || w >= m.V {
-			panic(fmt.Sprintf("lda: token %d outside vocabulary [0,%d)", w, m.V))
+			panic(m.vocabPanic(w))
 		}
 		assign[i] = g.Intn(m.K)
 		ndk[assign[i]]++
@@ -560,12 +561,135 @@ func (m *Model) Perplexity(docs [][]int, g *rng.RNG) float64 {
 // Representations infers the company feature matrix B (N x K): row d is the
 // topic mixture of document d. This is the representation used for company
 // similarity search and clustering.
+//
+// The result is InferTheta run over docs in order on g's stream, and g ends
+// in the state that loop leaves it in, at any par.Workers(). A sequential
+// replay pass on the calling goroutine advances g past each document with
+// skipInference, recording g.State() at the start of every block of
+// repBlock documents; par.ForEach then folds each block in on a generator
+// restored from its recorded state. The replay runs one window ahead of the
+// fold-in, so its cost overlaps the parallel stage (at one worker both run
+// inline, one after the other). A token outside the vocabulary is found by
+// the replay and panics on the calling goroutine, as does any panic of the
+// fold-in.
 func (m *Model) Representations(docs [][]int, g *rng.RNG) *mat.Matrix {
 	out := mat.New(len(docs), m.K)
-	for d, doc := range docs {
-		copy(out.Row(d), m.InferTheta(doc, g))
+	blocks := par.Workers() * repWindow
+	bufs := [2][][4]uint64{make([][4]uint64, 0, blocks), make([][4]uint64, 0, blocks)}
+	replay := func(lo int, buf [][4]uint64) foldWindow {
+		return m.replay(docs, lo, min(lo+blocks*repBlock, len(docs)), g, buf)
 	}
-	return out
+	cur := replay(0, bufs[0])
+	for i := 1; ; i++ {
+		more := cur.bad == nil && cur.hi < len(docs)
+		var next foldWindow
+		var p any
+		if more && par.Workers() > 1 {
+			done := make(chan any, 1)
+			go func(w foldWindow) { done <- m.fold(out, docs, w) }(cur)
+			next = replay(cur.hi, bufs[i%2])
+			p = <-done
+		} else if p = m.fold(out, docs, cur); p == nil && more {
+			next = replay(cur.hi, bufs[i%2])
+		}
+		if p != nil {
+			panic(p)
+		}
+		if cur.bad != nil {
+			panic(cur.bad)
+		}
+		if !more {
+			return out
+		}
+		cur = next
+	}
+}
+
+// Fold-in schedule of Representations: a task infers repBlock documents,
+// and a window of par.Workers()*repWindow tasks is replayed ahead. Neither
+// affects the result.
+const (
+	repBlock  = 256
+	repWindow = 16
+)
+
+// foldWindow is a run of documents the replay pass has walked.
+type foldWindow struct {
+	lo, hi int         // documents [lo, hi)
+	starts [][4]uint64 // starts[b]: g.State() before document lo+b*repBlock
+	bad    any         // panic value for document hi, when the replay stopped there
+}
+
+// replay walks documents [lo, hi) on g, recording block start states in
+// buf. It stops at the first document holding a token outside the
+// vocabulary, with g advanced exactly as far as InferTheta gets before it
+// panics.
+func (m *Model) replay(docs [][]int, lo, hi int, g *rng.RNG, buf [][4]uint64) foldWindow {
+	w := foldWindow{lo: lo, hi: hi, starts: buf[:0]}
+	for d := lo; d < hi; d++ {
+		if (d-lo)%repBlock == 0 {
+			w.starts = append(w.starts, g.State())
+		}
+		if tok, ok := m.skipInference(docs[d], g); !ok {
+			w.hi, w.bad = d, m.vocabPanic(tok)
+			break
+		}
+	}
+	return w
+}
+
+// skipInference advances g exactly as InferTheta(doc, g) does without
+// inferring anything: one Intn(K) per token for the initial assignments,
+// then one Float64 per token per sweep, the single draw Categorical makes.
+// Which calls InferTheta makes never depends on the values drawn, so this
+// lands on the same stream position, math/rand's rare rejection redraws
+// included. Empty documents draw nothing. On a token outside the
+// vocabulary it stops where InferTheta panics and returns that token and
+// false.
+func (m *Model) skipInference(doc []int, g *rng.RNG) (int, bool) {
+	for _, w := range doc {
+		if w < 0 || w >= m.V {
+			return w, false
+		}
+		g.Intn(m.K)
+	}
+	g.SkipFloat64(m.InferIters * len(doc))
+	return 0, true
+}
+
+func (m *Model) vocabPanic(w int) string {
+	return fmt.Sprintf("lda: token %d outside vocabulary [0,%d)", w, m.V)
+}
+
+// foldPanic carries a fold-in task's panic value back to the caller.
+type foldPanic struct{ v any }
+
+func (foldPanic) Error() string { return "lda: fold-in panicked" }
+
+// fold infers the documents of w into their rows of out, one block per
+// par task, each block walking its documents in order on a generator
+// restored from the block's start state. It returns the panic value of the
+// first document that panicked, if any.
+func (m *Model) fold(out *mat.Matrix, docs [][]int, w foldWindow) any {
+	err := par.ForEach(context.Background(), len(w.starts), func(b int) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = foldPanic{p}
+			}
+		}()
+		gb, serr := rng.FromState(w.starts[b])
+		if serr != nil {
+			panic(serr)
+		}
+		for d := w.lo + b*repBlock; d < min(w.lo+(b+1)*repBlock, w.hi); d++ {
+			copy(out.Row(d), m.InferTheta(docs[d], gb))
+		}
+		return nil
+	})
+	if fp, ok := err.(foldPanic); ok {
+		return fp.v
+	}
+	return nil
 }
 
 // ProductEmbeddings returns the V x K matrix whose row w is

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/mat"
 )
@@ -98,6 +99,18 @@ func (g *RNG) Split() *RNG {
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
+
+// SkipFloat64 advances the stream past n Float64 draws without converting
+// them: one source step per draw, plus the redraw math/rand's Float64 makes
+// whenever the 63-bit value rounds to 1.0. It reaches the stream position n
+// Float64 calls reach, at a fraction of their cost.
+func (g *RNG) SkipFloat64(n int) {
+	for ; n > 0; n-- {
+		for float64(g.src.Int63())/(1<<63) == 1 {
+			// rounded to 1.0: Float64 draws again
+		}
+	}
+}
 
 // Intn returns a uniform int in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
@@ -319,11 +332,27 @@ func (g *RNG) Poisson(lambda float64) int {
 
 // Zipf returns a sampler of ranks in [0, n) following a Zipf distribution
 // with exponent s >= 0 (s=0 is uniform). Used for popularity-skewed
-// product selection in the data generator.
+// company selection in the load generator.
+//
+// A draw is Categorical over the weights 1/(i+1)^s in O(log n): the prefix
+// sums are accumulated once, in Categorical's summation order, and a binary
+// search finds the first i with u < cum[i], so every draw returns the index
+// Categorical's linear scan would, from the same single Float64.
 func (g *RNG) Zipf(n int, s float64) func() int {
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1 / math.Pow(float64(i+1), s)
+	cum := make([]float64, n)
+	var acc float64
+	for i := range cum {
+		acc += 1 / math.Pow(float64(i+1), s)
+		cum[i] = acc
 	}
-	return func() int { return g.Categorical(weights) }
+	return func() int {
+		if acc <= 0 || math.IsNaN(acc) {
+			panic("rng: Categorical weights must have positive sum")
+		}
+		u := g.r.Float64() * acc
+		if i := sort.Search(n, func(i int) bool { return u < cum[i] }); i < n {
+			return i
+		}
+		return n - 1 // floating-point slack, as in Categorical
+	}
 }

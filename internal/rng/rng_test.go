@@ -369,3 +369,91 @@ func TestFromStateRejectsAllZero(t *testing.T) {
 		t.Fatal("all-zero state must be rejected")
 	}
 }
+
+// stateBefore returns a state whose next source output is out (other words
+// arbitrary), by inverting the xoshiro256** output function
+// rotl(s1*5, 7)*9 — both multipliers are odd, so invertible mod 2^64.
+func stateBefore(out uint64) [4]uint64 {
+	inv := func(a uint64) uint64 {
+		x := a // Newton's iteration: correct bits double each step
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	s1 := rotl(out*inv(9), 64-7) * inv(5)
+	return [4]uint64{0x9e3779b97f4a7c15, s1, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}
+}
+
+func TestSkipFloat64MatchesFloat64(t *testing.T) {
+	g := New(8)
+	for trial := 0; trial < 200; trial++ {
+		seed, n := g.Int63(), g.Intn(100)
+		a, b := New(seed), New(seed)
+		for i := 0; i < n; i++ {
+			a.Float64()
+		}
+		b.SkipFloat64(n)
+		if a.State() != b.State() {
+			t.Fatalf("trial %d: SkipFloat64(%d) state differs from %d Float64 calls", trial, n, n)
+		}
+	}
+
+	// A source output of all ones rounds to 1.0, so Float64 draws again:
+	// the skip must redraw too.
+	st := stateBefore(^uint64(0))
+	probe, _ := FromState(st)
+	if probe.src.Uint64() != ^uint64(0) {
+		t.Fatal("stateBefore did not invert the output function")
+	}
+	a, _ := FromState(st)
+	b, _ := FromState(st)
+	twoSteps, _ := FromState(st)
+	a.Float64()
+	b.SkipFloat64(1)
+	twoSteps.src.Uint64()
+	twoSteps.src.Uint64()
+	if a.State() != twoSteps.State() {
+		t.Fatal("crafted state did not make Float64 redraw")
+	}
+	if b.State() != a.State() {
+		t.Fatal("SkipFloat64 does not redraw when the draw rounds to 1.0")
+	}
+}
+
+// TestZipfMatchesCategorical pins the binary-search Zipf sampler to
+// Categorical over the same weights: identical draws and identical final
+// stream positions.
+func TestZipfMatchesCategorical(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		s    float64
+		seed int64
+	}{
+		{1, 1.1, 1}, {10, 1.2, 2}, {1000, 0, 3}, {30000, 1.1, 4}, {5000, 2.5, 5}, {777, 0.7, 6},
+	} {
+		weights := make([]float64, tc.n)
+		for i := range weights {
+			weights[i] = 1 / math.Pow(float64(i+1), tc.s)
+		}
+		a, b := New(tc.seed), New(tc.seed)
+		zipf := a.Zipf(tc.n, tc.s)
+		for i := 0; i < 10000; i++ {
+			if got, want := zipf(), b.Categorical(weights); got != want {
+				t.Fatalf("n=%d s=%v seed=%d draw %d: Zipf %d, Categorical %d", tc.n, tc.s, tc.seed, i, got, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("n=%d s=%v: stream positions differ", tc.n, tc.s)
+		}
+	}
+}
+
+func TestZipfEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Zipf(0, s) draw did not panic")
+		}
+	}()
+	New(1).Zipf(0, 1)()
+}

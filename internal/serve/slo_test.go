@@ -54,8 +54,11 @@ func TestParseLatencyObjectives(t *testing.T) {
 // formats, and the /healthz summary.
 func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{
-		Quiet:  true,
-		Logger: discardLogger(),
+		// One slot, so filling s.sem below saturates the server on any
+		// host (the default is par.Workers()).
+		MaxConcurrent: 1,
+		Quiet:         true,
+		Logger:        discardLogger(),
 		SLO: &SLOConfig{
 			Window:       time.Hour, // no rotation mid-test
 			Availability: 0.999,

@@ -43,22 +43,17 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/router"
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -88,14 +83,10 @@ func main() {
 		drainWait    = flag.Duration("drain-wait", 0, "after SIGTERM, keep serving this long with /readyz at 503 before draining")
 		quiet        = flag.Bool("quiet", false, "suppress per-request access-log lines (failures and slow queries still log)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body cap on POST endpoints; oversized bodies get 413 (negative disables)")
-
-		sloOn     = flag.Bool("slo", false, "track rolling-window router SLOs and serve GET /debug/slo on -debug-addr")
-		sloWindow = flag.Duration("slo-window", serve.DefaultSLOWindow, "rolling SLO evaluation window")
-		sloAvail  = flag.Float64("slo-availability", serve.DefaultSLOAvailability, "availability objective (fraction of requests without a server error)")
-		sloLat    = flag.String("slo-latency", "", `per-endpoint p99 latency objectives, e.g. "default=100ms,similar=50ms"`)
 	)
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
+	sloFlags := api.BindSLOFlags(flag.CommandLine)
 	flag.Parse()
 	traceFlags.Apply(trace.Default())
 	logger = obs.NewCLILogger(os.Stderr, "ibrouter", obsFlags.Verbose)
@@ -126,16 +117,9 @@ func main() {
 		Quiet:              *quiet,
 		MaxBodyBytes:       *maxBody,
 	}
-	if *sloOn {
-		objectives, err := serve.ParseLatencyObjectives(*sloLat)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SLO = &serve.SLOConfig{
-			Window:       *sloWindow,
-			Availability: *sloAvail,
-			Latency:      objectives,
-		}
+	var err error
+	if cfg.SLO, err = sloFlags.Config(); err != nil {
+		fatal(err)
 	}
 	rt, err := router.New(cfg)
 	if err != nil {
@@ -155,39 +139,9 @@ func main() {
 		logger.Info("debug server listening", "addr", dbg.Addr())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	err = api.Listener{Addr: *addr, Handler: rt.Handler(), Ready: &rt.Readiness,
+		DrainWait: *drainWait, Grace: *grace, Logger: logger}.Serve()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s\n", ln.Addr())
-	logger.Info("listening", "addr", ln.Addr().String())
-
-	httpSrv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		rt.SetReady(false)
-		logger.Info("shutting down", "drain_wait", drainWait.String(), "grace", grace.String())
-		if *drainWait > 0 {
-			time.Sleep(*drainWait)
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown: " + err.Error())
-		}
-	}()
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	<-done
-	logger.Info("drained and stopped")
 }

@@ -79,17 +79,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/ann"
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -261,10 +258,6 @@ func main() {
 		shadowRecent = flag.Int("shadow-recent", shadow.DefaultRecent, "sampled queries kept for the /admin/reload canary replay")
 		reloadGuard  = flag.Float64("reload-guard", 0, "refuse /admin/reload with 409 when the canary's mean result-set Jaccard falls below this (0 = report-only; requires -shadow-sample)")
 
-		sloOn     = flag.Bool("slo", false, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
-		sloWindow = flag.Duration("slo-window", serve.DefaultSLOWindow, "rolling SLO evaluation window")
-		sloAvail  = flag.Float64("slo-availability", serve.DefaultSLOAvailability, "availability objective (fraction of requests without a server error)")
-		sloLat    = flag.String("slo-latency", "", `per-endpoint p99 latency objectives, e.g. "default=100ms,similar=50ms"`)
 		sloRecall = flag.Float64("slo-recall", 0, "observed-recall SLO objective evaluated from the shadow sampler (0 disables; requires -slo and -shadow-sample)")
 
 		runtimeMetrics  = flag.Bool("runtime-metrics", false, "sample Go runtime health (go_* gauges, GC pauses) into /metrics")
@@ -274,6 +267,7 @@ func main() {
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	traceFlags := trace.BindFlags(flag.CommandLine)
 	chaosFlags := chaos.BindFlags(flag.CommandLine)
+	sloFlags := api.BindSLOFlags(flag.CommandLine)
 	flag.Parse()
 	par.SetWorkers(*workers)
 	traceFlags.Apply(trace.Default())
@@ -332,17 +326,11 @@ func main() {
 			fatal(errors.New("-slo-recall requires -shadow-sample (the objective is evaluated from shadow samples)"))
 		}
 	}
-	if *sloOn {
-		objectives, err := serve.ParseLatencyObjectives(*sloLat)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SLO = &serve.SLOConfig{
-			Window:       *sloWindow,
-			Availability: *sloAvail,
-			Latency:      objectives,
-			Recall:       *sloRecall,
-		}
+	if cfg.SLO, err = sloFlags.Config(); err != nil {
+		fatal(err)
+	}
+	if cfg.SLO != nil {
+		cfg.SLO.Recall = *sloRecall
 	} else if *sloRecall > 0 {
 		fatal(errors.New("-slo-recall requires -slo"))
 	}
@@ -375,43 +363,9 @@ func main() {
 		logger.Info("debug server listening", "addr", dbg.Addr())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	err = api.Listener{Addr: *addr, Handler: handler, Ready: &srv.Readiness,
+		DrainWait: *drainWait, Grace: *grace, Logger: logger}.Serve()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("serving on %s\n", ln.Addr())
-	logger.Info("listening", "addr", ln.Addr().String())
-
-	// Hardened listener settings: slow-header and idle connections cannot pin
-	// resources forever, and oversized headers are rejected at the HTTP layer.
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		// Flip /readyz first so routers and load balancers stop sending new
-		// work, keep answering for -drain-wait, then drain connections.
-		srv.SetReady(false)
-		logger.Info("shutting down", "drain_wait", drainWait.String(), "grace", grace.String())
-		if *drainWait > 0 {
-			time.Sleep(*drainWait)
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("shutdown: " + err.Error())
-		}
-	}()
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	<-done
-	logger.Info("drained and stopped")
 }

@@ -1,7 +1,8 @@
-package serve
+package api
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"sort"
@@ -89,11 +90,11 @@ func ParseLatencyObjectives(s string) (map[string]time.Duration, error) {
 	for _, part := range strings.Split(s, ",") {
 		name, raw, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return nil, fmt.Errorf("serve: latency objective %q is not endpoint=duration", part)
+			return nil, fmt.Errorf("slo: latency objective %q is not endpoint=duration", part)
 		}
 		d, err := time.ParseDuration(strings.TrimSpace(raw))
 		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("serve: latency objective %q has a bad duration", part)
+			return nil, fmt.Errorf("slo: latency objective %q has a bad duration", part)
 		}
 		out[strings.TrimSpace(name)] = d
 	}
@@ -113,10 +114,9 @@ type sloEndpoint struct {
 }
 
 // SLOTracker owns per-endpoint rolling SLO state and the shared rotation
-// ticker. It is the reusable half of the serving SLO layer: internal/serve
-// feeds it from the request shell, and a scatter-gather router (or any other
-// front end) can construct its own under a different metric prefix and mount
-// its /debug/slo route on the shared debug listener. A nil *SLOTracker is
+// ticker. The request shell feeds it; ibserve and ibrouter each construct
+// their own under their metric prefix and mount its /debug/slo route on the
+// debug listener. A nil *SLOTracker is
 // inert: Record, Close and Routes are no-ops.
 type SLOTracker struct {
 	cfg      SLOConfig
@@ -329,12 +329,21 @@ func (s *SLOTracker) Status() SLOStatus {
 	return out
 }
 
-// sloHealthJSON is the one-line SLO summary folded into /healthz when SLO
+// SLOHealth is the one-line SLO summary folded into /healthz when SLO
 // tracking is on; omitted entirely (json omitempty on a nil pointer) when
 // off, so the disabled-path /healthz body is byte-identical.
-type sloHealthJSON struct {
+type SLOHealth struct {
 	OK      bool     `json:"ok"`
 	Burning []string `json:"burning,omitempty"`
+}
+
+// Health evaluates the /healthz summary, or nil on a nil tracker.
+func (s *SLOTracker) Health() *SLOHealth {
+	if s == nil {
+		return nil
+	}
+	st := s.Status()
+	return &SLOHealth{OK: st.OK, Burning: st.Burning}
 }
 
 // handleSLO serves GET /debug/slo: the JSON evaluation by default, or an
@@ -398,29 +407,33 @@ func (s *SLOTracker) Routes() []obs.Route {
 	return []obs.Route{{Pattern: "GET /debug/slo", Handler: http.HandlerFunc(s.handleSLO)}}
 }
 
-// SLORoutes returns the /debug/slo route for the -debug-addr mux, or nothing
-// when SLO tracking is off — the debug listener's route set is unchanged on
-// the disabled path.
-func (s *Server) SLORoutes() []obs.Route { return s.slo.Routes() }
+// SLOFlags are the -slo flag group shared by ibserve and ibrouter.
+type SLOFlags struct {
+	On           bool
+	Window       time.Duration
+	Availability float64
+	Latency      string
+}
 
-// ShadowRoutes returns the /debug/recall route for the -debug-addr mux, or
-// nothing when shadow sampling is off (same disabled-path contract as
-// SLORoutes). The same route is also mounted on the serving mux so routers
-// and load generators can scrape it without knowing the debug address.
-func (s *Server) ShadowRoutes() []obs.Route { return s.shadow.Routes() }
+// BindSLOFlags registers -slo, -slo-window, -slo-availability and
+// -slo-latency on fs.
+func BindSLOFlags(fs *flag.FlagSet) *SLOFlags {
+	f := &SLOFlags{}
+	fs.BoolVar(&f.On, "slo", false, "track rolling-window SLOs per endpoint and serve GET /debug/slo on -debug-addr")
+	fs.DurationVar(&f.Window, "slo-window", DefaultSLOWindow, "rolling SLO evaluation window")
+	fs.Float64Var(&f.Availability, "slo-availability", DefaultSLOAvailability, "availability objective (fraction of requests without a server error)")
+	fs.StringVar(&f.Latency, "slo-latency", "", `per-endpoint p99 latency objectives, e.g. "default=100ms,similar=50ms"`)
+	return f
+}
 
-// Close releases the server's background resources: the shadow sampler (its
-// worker drains, releasing any generation references queued samples hold),
-// the SLO rotation ticker, and the live generation's reference (so an
-// mmap-backed model is unmapped once in-flight requests drain). Stop routing
-// traffic here before Close; straggler requests that arrive anyway answer 503
-// (current() refuses the dead generation) rather than touch unmapped memory.
-// Safe to call more than once: the current-generation release is guarded so a
-// double Close cannot double-unmap.
-func (s *Server) Close() {
-	s.shadow.Close()
-	s.slo.Close()
-	if s.closed.CompareAndSwap(false, true) {
-		s.cur.Load().release()
+// Config returns the objectives the flags declare, or nil when -slo is off.
+func (f *SLOFlags) Config() (*SLOConfig, error) {
+	if !f.On {
+		return nil, nil
 	}
+	objectives, err := ParseLatencyObjectives(f.Latency)
+	if err != nil {
+		return nil, err
+	}
+	return &SLOConfig{Window: f.Window, Availability: f.Availability, Latency: objectives}, nil
 }

@@ -537,11 +537,19 @@ func (ix *Index) RecommendFromPeers(id int, peers []Match) ([]ProductRecommendat
 		recErrors.Inc()
 		return nil, fmt.Errorf("core: company id %d outside [0,%d)", id, ix.Corpus.N())
 	}
+	var totalSim float64
 	for _, p := range peers {
 		if p.CompanyID < 0 || p.CompanyID >= ix.Corpus.N() {
 			recErrors.Inc()
 			return nil, fmt.Errorf("core: peer id %d outside [0,%d)", p.CompanyID, ix.Corpus.N())
 		}
+		totalSim += math.Max(p.Similarity, 0)
+	}
+	// Supplied similarities are outside bytes: a sum that overflows would
+	// turn the strengths into NaN (Inf/Inf), which no response can carry.
+	if math.IsInf(totalSim, 0) || math.IsNaN(totalSim) {
+		recErrors.Inc()
+		return nil, fmt.Errorf("core: peer similarities sum to %v, not a finite weight", totalSim)
 	}
 	out := ix.recommendFromPeers(id, peers)
 	recRequests.Inc()

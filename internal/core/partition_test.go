@@ -187,6 +187,11 @@ func TestRecommendFromPeersMatchesSingleProcess(t *testing.T) {
 	if _, err := full.RecommendFromPeers(0, []Match{{CompanyID: 10_000}}); err == nil {
 		t.Error("RecommendFromPeers accepted an out-of-range peer")
 	}
+	// Similarities whose sum overflows would score Inf/Inf = NaN strengths.
+	huge := []Match{{CompanyID: 1, Similarity: 1e308}, {CompanyID: 1, Similarity: 1e308}}
+	if _, err := full.RecommendFromPeers(0, huge); err == nil {
+		t.Error("RecommendFromPeers accepted peer similarities summing to +Inf")
+	}
 }
 
 // TestSetPartitionValidation covers the partition setter edge cases.

@@ -30,33 +30,22 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
 var partialTotal = obs.Default().Counter("router_partial_responses_total",
 	"queries answered with partial results because at least one shard was missing")
 
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-func newEndpointMetrics(name string) endpointMetrics {
-	return endpointMetrics{
-		requests: obs.Default().Counter("router_"+name+"_requests_total",
-			name+" queries answered by the router (including partial answers)"),
-		errors: obs.Default().Counter("router_"+name+"_errors_total",
-			name+" queries the router failed (bad arguments, every shard missing, or deadline)"),
-		latency: obs.Default().Histogram("router_"+name+"_latency_seconds",
-			"end-to-end latency of answered "+name+" queries", obs.DefBuckets),
-	}
+// routerHelp words the per-endpoint router_* series.
+var routerHelp = api.Help{
+	Requests: "%s queries answered by the router (including partial answers)",
+	Errors:   "%s queries the router failed (bad arguments, every shard missing, or deadline)",
+	Latency:  "end-to-end latency of answered %s queries",
 }
 
 // Config parameterizes a Router. Zero values select the documented defaults.
@@ -101,7 +90,7 @@ type Config struct {
 	Tracer *trace.Tracer
 	// SLO, when non-nil, tracks rolling router SLOs under the router_ metric
 	// prefix, with /debug/slo served from Routes().
-	SLO *serve.SLOConfig
+	SLO *api.SLOConfig
 	// MaxBodyBytes caps request bodies on the POST endpoints; an oversized
 	// body gets 413. Default 1 MiB (matching ibserve); negative disables the
 	// cap.
@@ -158,21 +147,17 @@ func (c Config) withDefaults() Config {
 
 // Router fans queries out to the shards and merges their answers.
 type Router struct {
+	api.Readiness // GET /readyz, mirroring the shard-side drain protocol
+
 	cfg     Config
 	shards  []*shard
 	client  *http.Client
 	mux     *http.ServeMux
-	slo     *serve.SLOTracker
-	ready   atomic.Bool
+	shell   *api.Shell // shell.SLO is nil when Config.SLO is nil
 	started time.Time
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
-
-	mSimilar    endpointMetrics
-	mRecommend  endpointMetrics
-	mWhitespace endpointMetrics
-	mInfer      endpointMetrics
 }
 
 // New builds a Router over the configured shard URLs.
@@ -182,13 +167,18 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:         cfg,
-		client:      &http.Client{},
-		started:     time.Now(),
-		mSimilar:    newEndpointMetrics("similar"),
-		mRecommend:  newEndpointMetrics("recommend"),
-		mWhitespace: newEndpointMetrics("whitespace"),
-		mInfer:      newEndpointMetrics("infer"),
+		cfg:     cfg,
+		client:  &http.Client{},
+		started: time.Now(),
+		shell: &api.Shell{
+			Prefix:       "router",
+			Help:         routerHelp,
+			Timeout:      cfg.Timeout,
+			MaxBodyBytes: cfg.MaxBodyBytes,
+			Logger:       cfg.Logger,
+			Tracer:       cfg.Tracer,
+			Quiet:        cfg.Quiet,
+		},
 	}
 	for i, base := range cfg.Shards {
 		base = strings.TrimRight(base, "/")
@@ -205,16 +195,15 @@ func New(cfg Config) (*Router, error) {
 		rt.shards = append(rt.shards, sh)
 	}
 	if cfg.SLO != nil {
-		rt.slo = serve.NewSLOTracker(*cfg.SLO, "router", []string{"similar", "recommend", "whitespace", "infer"})
+		rt.shell.SLO = api.NewSLOTracker(*cfg.SLO, "router", []string{"similar", "recommend", "whitespace", "infer"})
 	}
-	rt.ready.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /readyz", rt.handleReady)
-	mux.HandleFunc("GET /v1/similar/{id}", rt.shell("similar", &rt.mSimilar, rt.handleSimilar))
-	mux.HandleFunc("GET /v1/recommend/{id}", rt.shell("recommend", &rt.mRecommend, rt.handleRecommend))
-	mux.HandleFunc("POST /v1/whitespace", rt.shell("whitespace", &rt.mWhitespace, rt.handleWhitespace))
-	mux.HandleFunc("POST /v1/infer", rt.shell("infer", &rt.mInfer, rt.handleInfer))
+	mux.Handle("GET /readyz", &rt.Readiness)
+	mux.HandleFunc("GET /v1/similar/{id}", rt.query("similar", rt.handleSimilar))
+	mux.HandleFunc("GET /v1/recommend/{id}", rt.query("recommend", rt.handleRecommend))
+	mux.HandleFunc("POST /v1/whitespace", rt.query("whitespace", rt.handleWhitespace))
+	mux.HandleFunc("POST /v1/infer", rt.query("infer", rt.handleInfer))
 	rt.mux = mux
 	if cfg.ProbeInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -234,12 +223,9 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // aggregates a sample-weighted fleet observed recall (shards without shadow
 // sampling report "sampling": false rather than erroring the view).
 func (rt *Router) Routes() []obs.Route {
-	return append(rt.slo.Routes(),
+	return append(rt.shell.SLO.Routes(),
 		obs.Route{Pattern: "GET /debug/recall", Handler: http.HandlerFunc(rt.handleFleetRecall)})
 }
-
-// SetReady flips /readyz, mirroring the shard-side drain protocol.
-func (rt *Router) SetReady(ok bool) { rt.ready.Store(ok) }
 
 // Close stops the probe loop and the SLO ticker.
 func (rt *Router) Close() {
@@ -247,7 +233,7 @@ func (rt *Router) Close() {
 		rt.probeCancel()
 		<-rt.probeDone
 	}
-	rt.slo.Close()
+	rt.shell.SLO.Close()
 }
 
 // probeLoop polls every shard's /readyz so draining or dead shards are
@@ -277,74 +263,6 @@ func (rt *Router) probeLoop(ctx context.Context) {
 	}
 }
 
-// JSON response mirrors. These repeat the serve package's field order
-// exactly and append the degradation fields at the end with omitempty, so a
-// fully healthy fan-out marshals byte-identical to an unsharded ibserve.
-
-type matchJSON struct {
-	CompanyID  int     `json:"company_id"`
-	Name       string  `json:"name"`
-	Similarity float64 `json:"similarity"`
-}
-
-type similarResponse struct {
-	CompanyID     int         `json:"company_id"`
-	Name          string      `json:"name"`
-	K             int         `json:"k"`
-	Matches       []matchJSON `json:"matches"`
-	Partial       bool        `json:"partial,omitempty"`
-	MissingShards []int       `json:"missing_shards,omitempty"`
-}
-
-type recommendationJSON struct {
-	Category int     `json:"category"`
-	Name     string  `json:"name"`
-	Strength float64 `json:"strength"`
-	Owners   int     `json:"owners"`
-}
-
-type recommendResponse struct {
-	CompanyID       int                  `json:"company_id"`
-	Name            string               `json:"name"`
-	Peers           int                  `json:"peers"`
-	Recommendations []recommendationJSON `json:"recommendations"`
-	Partial         bool                 `json:"partial,omitempty"`
-	MissingShards   []int                `json:"missing_shards,omitempty"`
-}
-
-type prospectJSON struct {
-	CompanyID     int     `json:"company_id"`
-	Name          string  `json:"name"`
-	NearestClient int     `json:"nearest_client"`
-	Similarity    float64 `json:"similarity"`
-}
-
-type whitespaceResponse struct {
-	K             int            `json:"k"`
-	Prospects     []prospectJSON `json:"prospects"`
-	Partial       bool           `json:"partial,omitempty"`
-	MissingShards []int          `json:"missing_shards,omitempty"`
-}
-
-type inferResponse struct {
-	Theta         []float64   `json:"theta"`
-	K             int         `json:"k"`
-	Matches       []matchJSON `json:"matches"`
-	Partial       bool        `json:"partial,omitempty"`
-	MissingShards []int       `json:"missing_shards,omitempty"`
-}
-
-type internalMatch struct {
-	CompanyID  int     `json:"company_id"`
-	Similarity float64 `json:"similarity"`
-}
-
-type internalRecommendRequest struct {
-	CompanyID int             `json:"company_id"`
-	Peers     int             `json:"peers"`
-	Matches   []internalMatch `json:"matches"`
-}
-
 type shardHealthJSON struct {
 	Index   int    `json:"index"`
 	Addr    string `json:"addr"`
@@ -357,12 +275,7 @@ type healthResponse struct {
 	Shards    []shardHealthJSON `json:"shards"`
 	UptimeSec float64           `json:"uptime_seconds"`
 	Tracing   bool              `json:"tracing"`
-	SLO       *sloHealthJSON    `json:"slo,omitempty"`
-}
-
-type sloHealthJSON struct {
-	OK      bool     `json:"ok"`
-	Burning []string `json:"burning,omitempty"`
+	SLO       *api.SLOHealth    `json:"slo,omitempty"`
 }
 
 var breakerNames = [...]string{"closed", "half-open", "open"}
@@ -372,6 +285,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status:    "ok",
 		UptimeSec: time.Since(rt.started).Seconds(),
 		Tracing:   rt.cfg.Tracer.Enabled(),
+		SLO:       rt.shell.SLO.Health(),
 	}
 	for _, sh := range rt.shards {
 		resp.Shards = append(resp.Shards, shardHealthJSON{
@@ -381,181 +295,33 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			Breaker: breakerNames[sh.br.State()],
 		})
 	}
-	if rt.slo != nil {
-		st := rt.slo.Status()
-		resp.SLO = &sloHealthJSON{OK: st.OK, Burning: st.Burning}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-func (rt *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !rt.ready.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte("{\"status\":\"draining\"}\n"))
-		return
-	}
-	_, _ = w.Write([]byte("{\"status\":\"ready\"}\n"))
-}
-
-// routerResponse is a shell handler's outcome: a fully rendered body (with
-// trailing newline), its status, and the degradation markers.
+// routerResponse is a fan-out handler's outcome: the rendered reply and
+// the shards it was merged without (non-empty marks a partial answer).
 type routerResponse struct {
-	status  int // 0 means 200
-	body    []byte
-	partial bool
+	api.Reply
 	missing []int
 }
 
-type apiError struct {
-	status int
-	err    error
-}
+type fanoutHandler func(ctx context.Context, r *http.Request) (routerResponse, error)
 
-func (e *apiError) Error() string { return e.err.Error() }
-func (e *apiError) Unwrap() error { return e.err }
-
-func badRequest(format string, args ...any) error {
-	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
-// bodyError classifies a request-body read failure: a MaxBytesReader trip is
-// the client sending too much (413, naming the cap), anything else a plain
-// bad request.
-func bodyError(err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("router: request body exceeds %d bytes", mbe.Limit)}
-	}
-	return badRequest("router: reading request body: %v", err)
-}
-
-func statusFor(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadRequest
-}
-
-type shellHandler func(ctx context.Context, r *http.Request) (routerResponse, error)
-
-// shell wraps a fan-out handler with the router's request pipeline: deadline
-// budget, trace join/propagation, disjoint served/error accounting, partial
-// marking (X-Partial header + counter) and the access log line.
-func (rt *Router) shell(name string, m *endpointMetrics, h shellHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		var sp *trace.Span
-		if tp, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx, sp = rt.cfg.Tracer.StartRemote(ctx, tp, "router."+name)
-		} else {
-			ctx, sp = rt.cfg.Tracer.Start(ctx, "router."+name)
-		}
-		if sp.Active() {
-			sp.Attr("method", r.Method)
-			sp.Attr("path", r.URL.Path)
-			w.Header().Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-		}
-		status := http.StatusOK
-		defer func() {
-			sp.AttrInt("status", int64(status))
-			sp.End()
-			rt.slo.Record(name, status, time.Since(start))
-			rt.logRequest(r, name, status, time.Since(start), sp)
-		}()
-
-		ctx, cancel := context.WithTimeout(ctx, rt.requestTimeout(r))
-		defer cancel()
-
-		if r.Body != nil && rt.cfg.MaxBodyBytes > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-		}
+// query runs a fan-out handler inside the shared request shell, adding the
+// router's partial marking: an answer merged without every shard carries an
+// X-Partial header, ticks router_partial_responses_total and tags the root
+// span with the missing shards.
+func (rt *Router) query(name string, h fanoutHandler) http.HandlerFunc {
+	return rt.shell.Wrap(rt.shell.Endpoint(name), func(ctx context.Context, w http.ResponseWriter, r *http.Request) (api.Reply, error) {
 		resp, err := h(ctx, r)
-		if err != nil {
-			m.errors.Inc()
-			status = statusFor(err)
-			sp.Error(err)
-			rt.writeError(w, r, status, err)
-			return
-		}
-		if resp.status == 0 {
-			resp.status = http.StatusOK
-		}
-		status = resp.status
-		if status >= 400 {
-			// A shard's client-error verdict (bad id, bad filter) passed
-			// through verbatim; it is the client's error, the router's too.
-			m.errors.Inc()
-		} else {
-			m.requests.Inc()
-			// A traced request leaves its trace ID as a bucket exemplar, the
-			// same contract as the serve-side latency series: a p99 bucket on
-			// the dashboard links straight to a span tree in /debug/traces.
-			if sp.Active() {
-				m.latency.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID().String())
-			} else {
-				m.latency.Observe(time.Since(start).Seconds())
-			}
-		}
-		if resp.partial {
+		if err == nil && len(resp.missing) > 0 {
 			partialTotal.Inc()
 			w.Header().Set("X-Partial", "true")
-			sp.Attr("partial", fmt.Sprintf("%v", resp.missing))
+			trace.FromContext(ctx).Attr("partial", fmt.Sprintf("%v", resp.missing))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if status != http.StatusOK {
-			w.WriteHeader(status)
-		}
-		_, _ = w.Write(resp.body)
-	}
-}
-
-func (rt *Router) requestTimeout(r *http.Request) time.Duration {
-	d := rt.cfg.Timeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		if ms, err := strconv.ParseFloat(v, 64); err == nil && ms > 0 {
-			if t := time.Duration(ms * float64(time.Millisecond)); t < d {
-				d = t
-			}
-		}
-	}
-	return d
-}
-
-func (rt *Router) logRequest(r *http.Request, name string, status int, dur time.Duration, sp *trace.Span) {
-	attrs := []any{
-		"endpoint", name,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", status,
-		"dur_ms", float64(dur.Microseconds()) / 1e3,
-	}
-	if sp.Active() {
-		attrs = append(attrs, "trace", sp.TraceID().String())
-	}
-	switch {
-	case status >= 400:
-		rt.cfg.Logger.Warn("request", attrs...)
-	case !rt.cfg.Quiet:
-		rt.cfg.Logger.Info("request", attrs...)
-	}
-	if slow := rt.cfg.Tracer.SlowThreshold(); slow > 0 && dur >= slow {
-		rt.cfg.Logger.Warn("slow query", attrs...)
-	}
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	rt.cfg.Logger.Debug("request failed", "path", r.URL.Path, "status", status, "err", err.Error())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		return resp.Reply, err
+	})
 }
 
 // shardContext carves the shard deadline out of the request budget, keeping
@@ -659,24 +425,28 @@ func classify(results []shardResult) (oks []shardResult, clientErr *shardResult,
 }
 
 // scatter runs the shared fan-out prologue for the single-phase endpoints:
-// replay the request on every shard, pass a client error through verbatim,
-// fail 502 when no shard answered, otherwise hand the 2xx bodies and the
-// missing-shard list to merge (which stamps the degradation fields on the
-// merged value itself so they marshal inside the response body).
-func (rt *Router) scatter(ctx context.Context, r *http.Request, sp *trace.Span, body []byte,
+// replay the request (and its body, on POST) on every shard, pass a client
+// error through verbatim, fail 502 when no shard answered, otherwise hand
+// the 2xx bodies and the missing-shard list to merge and render its value.
+func (rt *Router) scatter(ctx context.Context, r *http.Request, endpoint string,
 	merge func(oks []shardResult, missing []int) (any, error)) (routerResponse, error) {
+	var body []byte
 	contentType := ""
-	if body != nil {
+	if r.Method == http.MethodPost {
+		var err error
+		if body, err = io.ReadAll(r.Body); err != nil {
+			return routerResponse{}, api.BodyError("router", endpoint, err)
+		}
 		contentType = "application/json"
 	}
-	results := rt.fanout(ctx, r.Method, r.URL.RequestURI(), body, traceHeader(sp, contentType))
+	results := rt.fanout(ctx, r.Method, r.URL.RequestURI(), body, traceHeader(trace.FromContext(ctx), contentType))
 	oks, clientErr, missing := classify(results)
 	if clientErr != nil {
-		return routerResponse{status: clientErr.status, body: clientErr.body}, nil
+		return routerResponse{Reply: api.Reply{Status: clientErr.status, Body: clientErr.body}}, nil
 	}
 	if len(oks) == 0 {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: all %d shards unavailable (missing %v)", len(rt.shards), missing)}
+		return routerResponse{}, api.Errorf(http.StatusBadGateway,
+			"router: all %d shards unavailable (missing %v)", len(rt.shards), missing)
 	}
 	if len(missing) > 0 {
 		rt.cfg.Logger.Warn("partial fan-out", "path", r.URL.Path, "missing", missing)
@@ -685,20 +455,20 @@ func (rt *Router) scatter(ctx context.Context, r *http.Request, sp *trace.Span, 
 	if err != nil {
 		return routerResponse{}, err
 	}
-	out, err := json.Marshal(value)
+	out, err := api.Encode(value)
 	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
+		return routerResponse{}, err
 	}
-	return routerResponse{body: append(out, '\n'), partial: len(missing) > 0, missing: missing}, nil
+	return routerResponse{Reply: api.Reply{Body: out}, missing: missing}, nil
 }
 
-func matchBetterJSON(a, b matchJSON) bool {
+func matchBetterJSON(a, b api.Match) bool {
 	return core.MatchBetter(
 		core.Match{CompanyID: a.CompanyID, Similarity: a.Similarity},
 		core.Match{CompanyID: b.CompanyID, Similarity: b.Similarity})
 }
 
-func prospectBetterJSON(a, b prospectJSON) bool {
+func prospectBetterJSON(a, b api.Prospect) bool {
 	return core.ProspectBetter(
 		core.WhitespaceProspect{CompanyID: a.CompanyID, NearestClient: a.NearestClient, Similarity: a.Similarity},
 		core.WhitespaceProspect{CompanyID: b.CompanyID, NearestClient: b.NearestClient, Similarity: b.Similarity})
@@ -707,101 +477,65 @@ func prospectBetterJSON(a, b prospectJSON) bool {
 func decodeShard[T any](r shardResult) (T, error) {
 	var v T
 	if err := json.Unmarshal(r.body, &v); err != nil {
-		return v, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: shard %d sent an unparseable body: %w", r.shard, err)}
+		return v, api.Errorf(http.StatusBadGateway, "router: shard %d sent an unparseable body: %w", r.shard, err)
 	}
 	return v, nil
 }
 
+func degraded(missing []int) api.Degraded {
+	return api.Degraded{Partial: len(missing) > 0, MissingShards: missing}
+}
+
+// mergeTopK decodes every answering shard's T and merges their ranked lists
+// under the core total order, cut to the largest k any shard echoed. The
+// first shard's answer is the template for the remaining fields (company
+// name, theta), which every shard computes identically; fields points into
+// a T at its k, its ranked list and its degradation marker.
+func mergeTopK[T, E any](oks []shardResult, missing []int, better func(a, b E) bool,
+	fields func(*T) (*int, *[]E, *api.Degraded)) (T, error) {
+	var merged T
+	k, list, deg := fields(&merged)
+	perShard := make([][]E, len(oks))
+	for i, res := range oks {
+		v, err := decodeShard[T](res)
+		if err != nil {
+			return merged, err
+		}
+		vk, vlist, _ := fields(&v)
+		if i == 0 {
+			merged = v
+		}
+		*k = max(*k, *vk)
+		perShard[i] = *vlist
+	}
+	if *list = core.MergeTopK(perShard, *k, better); *list == nil {
+		*list = []E{}
+	}
+	*deg = degraded(missing)
+	return merged, nil
+}
+
 func (rt *Router) handleSimilar(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	return rt.scatter(ctx, r, sp, nil, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]matchJSON, len(oks))
-		var merged similarResponse
-		for i, res := range oks {
-			v, err := decodeShard[similarResponse](res)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				merged = v
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Matches
-		}
-		merged.Matches = core.MergeTopK(perShard, merged.K, matchBetterJSON)
-		if merged.Matches == nil {
-			merged.Matches = []matchJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
+	return rt.scatter(ctx, r, "similar", func(oks []shardResult, missing []int) (any, error) {
+		return mergeTopK(oks, missing, matchBetterJSON, func(v *api.SimilarResponse) (*int, *[]api.Match, *api.Degraded) {
+			return &v.K, &v.Matches, &v.Degraded
+		})
 	})
 }
 
 func (rt *Router) handleWhitespace(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return routerResponse{}, bodyError(err)
-	}
-	return rt.scatter(ctx, r, sp, body, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]prospectJSON, len(oks))
-		var merged whitespaceResponse
-		for i, res := range oks {
-			v, err := decodeShard[whitespaceResponse](res)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				merged = v
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Prospects
-		}
-		merged.Prospects = core.MergeTopK(perShard, merged.K, prospectBetterJSON)
-		if merged.Prospects == nil {
-			merged.Prospects = []prospectJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
+	return rt.scatter(ctx, r, "whitespace", func(oks []shardResult, missing []int) (any, error) {
+		return mergeTopK(oks, missing, prospectBetterJSON, func(v *api.WhitespaceResponse) (*int, *[]api.Prospect, *api.Degraded) {
+			return &v.K, &v.Prospects, &v.Degraded
+		})
 	})
 }
 
 func (rt *Router) handleInfer(ctx context.Context, r *http.Request) (routerResponse, error) {
-	sp := trace.FromContext(ctx)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return routerResponse{}, bodyError(err)
-	}
-	return rt.scatter(ctx, r, sp, body, func(oks []shardResult, missing []int) (any, error) {
-		perShard := make([][]matchJSON, len(oks))
-		var merged inferResponse
-		for i, res := range oks {
-			v, err := decodeShard[inferResponse](res)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				merged = v // theta is identical on every shard (full model)
-			}
-			if v.K > merged.K {
-				merged.K = v.K
-			}
-			perShard[i] = v.Matches
-		}
-		merged.Matches = core.MergeTopK(perShard, merged.K, matchBetterJSON)
-		if merged.Matches == nil {
-			merged.Matches = []matchJSON{}
-		}
-		merged.Partial = len(missing) > 0
-		merged.MissingShards = missing
-		return merged, nil
+	return rt.scatter(ctx, r, "infer", func(oks []shardResult, missing []int) (any, error) {
+		return mergeTopK(oks, missing, matchBetterJSON, func(v *api.InferResponse) (*int, *[]api.Match, *api.Degraded) {
+			return &v.K, &v.Matches, &v.Degraded
+		})
 	})
 }
 
@@ -815,14 +549,14 @@ func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (routerR
 	sp := trace.FromContext(ctx)
 	id := r.PathValue("id")
 	if _, err := strconv.Atoi(id); err != nil {
-		return routerResponse{}, badRequest("router: company id %q is not an integer", id)
+		return routerResponse{}, api.BadRequest("router: company id %q is not an integer", id)
 	}
 	q := r.URL.Query()
 	peers := rt.cfg.DefaultPeers
 	if v := q.Get("peers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return routerResponse{}, badRequest("router: parameter peers=%q is not an integer", v)
+			return routerResponse{}, api.BadRequest("router: parameter peers=%q is not an integer", v)
 		}
 		if n != 0 { // an explicit 0 means "default", as on the shards
 			peers = n
@@ -837,16 +571,16 @@ func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (routerR
 	results := rt.fanout(ctx, http.MethodGet, path, nil, traceHeader(sp, ""))
 	oks, clientErr, missing := classify(results)
 	if clientErr != nil {
-		return routerResponse{status: clientErr.status, body: clientErr.body}, nil
+		return routerResponse{Reply: api.Reply{Status: clientErr.status, Body: clientErr.body}}, nil
 	}
 	if len(oks) == 0 {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: fmt.Errorf("router: all %d shards unavailable (missing %v)", len(rt.shards), missing)}
+		return routerResponse{}, api.Errorf(http.StatusBadGateway,
+			"router: all %d shards unavailable (missing %v)", len(rt.shards), missing)
 	}
-	perShard := make([][]matchJSON, len(oks))
-	var base similarResponse
+	perShard := make([][]api.Match, len(oks))
+	var base api.SimilarResponse
 	for i, res := range oks {
-		v, err := decodeShard[similarResponse](res)
+		v, err := decodeShard[api.SimilarResponse](res)
 		if err != nil {
 			return routerResponse{}, err
 		}
@@ -858,14 +592,14 @@ func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (routerR
 	mergedPeers := core.MergeTopK(perShard, peers, matchBetterJSON)
 
 	// Phase 2: one healthy shard scores the merged peers.
-	req := internalRecommendRequest{CompanyID: base.CompanyID, Peers: peers,
-		Matches: make([]internalMatch, len(mergedPeers))}
+	req := api.InternalRecommendRequest{CompanyID: base.CompanyID, Peers: peers,
+		Matches: make([]api.InternalMatch, len(mergedPeers))}
 	for i, m := range mergedPeers {
-		req.Matches[i] = internalMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
+		req.Matches[i] = api.InternalMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
+		return routerResponse{}, api.Errorf(http.StatusInternalServerError, "%w", err)
 	}
 	sctx, cancel := rt.shardContext(ctx)
 	defer cancel()
@@ -890,27 +624,25 @@ func (rt *Router) handleRecommend(ctx context.Context, r *http.Request) (routerR
 		break
 	}
 	if !scoredOK {
-		return routerResponse{}, &apiError{status: http.StatusBadGateway,
-			err: errors.New("router: no shard could score the merged peer set")}
+		return routerResponse{}, api.Errorf(http.StatusBadGateway, "router: no shard could score the merged peer set")
 	}
 	if scored.status >= 400 {
-		return routerResponse{status: scored.status, body: scored.body}, nil
+		return routerResponse{Reply: api.Reply{Status: scored.status, Body: scored.body}}, nil
 	}
-	merged, err := decodeShard[recommendResponse](scored)
+	merged, err := decodeShard[api.RecommendResponse](scored)
 	if err != nil {
 		return routerResponse{}, err
 	}
 	if merged.Recommendations == nil {
-		merged.Recommendations = []recommendationJSON{}
+		merged.Recommendations = []api.Recommendation{}
 	}
-	merged.Partial = len(missing) > 0
-	merged.MissingShards = missing
+	merged.Degraded = degraded(missing)
 	if merged.Partial {
 		rt.cfg.Logger.Warn("partial fan-out", "path", r.URL.Path, "missing", missing)
 	}
-	out, err := json.Marshal(merged)
+	out, err := api.Encode(merged)
 	if err != nil {
-		return routerResponse{}, &apiError{status: http.StatusInternalServerError, err: err}
+		return routerResponse{}, err
 	}
-	return routerResponse{body: append(out, '\n'), partial: merged.Partial, missing: missing}, nil
+	return routerResponse{Reply: api.Reply{Body: out}, missing: missing}, nil
 }

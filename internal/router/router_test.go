@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -217,7 +218,7 @@ func TestPartialDegradation(t *testing.T) {
 	if resp.Header.Get("X-Partial") != "true" {
 		t.Error("partial response missing the X-Partial header")
 	}
-	var sim similarResponse
+	var sim api.SimilarResponse
 	if err := json.Unmarshal(body, &sim); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestPartialDegradation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial whitespace: status %d: %s", resp.StatusCode, body)
 	}
-	var ws whitespaceResponse
+	var ws api.WhitespaceResponse
 	if err := json.Unmarshal(body, &ws); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestPartialDegradation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial recommend: status %d: %s", resp.StatusCode, body)
 	}
-	var rec recommendResponse
+	var rec api.RecommendResponse
 	if err := json.Unmarshal(body, &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +567,7 @@ func TestRouterHealthAndReadyz(t *testing.T) {
 func TestMergeTruncation(t *testing.T) {
 	_, routed := newCluster(t, 3, Config{}, nil)
 	_, body := get(t, routed.URL, "/v1/similar/5?k=7")
-	var sim similarResponse
+	var sim api.SimilarResponse
 	if err := json.Unmarshal(body, &sim); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // TestNegativeKAndPeersRejected covers the signed-parameter edge on every
 // query surface: a negative k or peer count — in the query string or a JSON
 // body, where it bypasses the unsigned-looking defaults — must 400 through
-// statusFor via core's argument validation and count only toward the
+// api.StatusFor via core's argument validation and count only toward the
 // endpoint's serve_*_errors_total, never toward served requests.
 func TestNegativeKAndPeersRejected(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})

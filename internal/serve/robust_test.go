@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestMaxBodyBytes413 pins the POST body cap: an oversized body fails with
@@ -114,15 +116,15 @@ func TestInternalRecommendMatchesPublic(t *testing.T) {
 	const id, peers = 6, 8
 	want := getBody(t, ts, fmt.Sprintf("/v1/recommend/%d?peers=%d", id, peers))
 
-	var sim similarResponse
+	var sim api.SimilarResponse
 	if err := json.Unmarshal(getBody(t, ts, fmt.Sprintf("/v1/similar/%d?k=%d", id, peers)), &sim); err != nil {
 		t.Fatal(err)
 	}
-	matches := make([]internalMatch, len(sim.Matches))
+	matches := make([]api.InternalMatch, len(sim.Matches))
 	for i, m := range sim.Matches {
-		matches[i] = internalMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
+		matches[i] = api.InternalMatch{CompanyID: m.CompanyID, Similarity: m.Similarity}
 	}
-	raw, err := json.Marshal(internalRecommendRequest{CompanyID: id, Peers: peers, Matches: matches})
+	raw, err := json.Marshal(api.InternalRecommendRequest{CompanyID: id, Peers: peers, Matches: matches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +145,8 @@ func TestInternalRecommendMatchesPublic(t *testing.T) {
 	}
 
 	// Bad peer ids are rejected, not served.
-	raw, _ = json.Marshal(internalRecommendRequest{CompanyID: id, Peers: 1,
-		Matches: []internalMatch{{CompanyID: 9999, Similarity: 1}}})
+	raw, _ = json.Marshal(api.InternalRecommendRequest{CompanyID: id, Peers: 1,
+		Matches: []api.InternalMatch{{CompanyID: 9999, Similarity: 1}}})
 	resp, err = ts.Client().Post(ts.URL+"/internal/recommend", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

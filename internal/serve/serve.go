@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/lda"
 	"repro/internal/obs"
@@ -50,7 +51,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Server-wide metrics. Per-endpoint series are created in newEndpointMetrics.
+// Server-wide metrics. Per-endpoint series are created by the request shell.
 var (
 	inflight = obs.Default().Gauge("serve_inflight_requests",
 		"query requests currently executing inside the concurrency semaphore")
@@ -60,24 +61,11 @@ var (
 		"successful hot model reloads (each swaps the index and empties the cache)")
 )
 
-// endpointMetrics is the per-endpoint served/error/latency triple. Served
-// requests and failures are disjoint: a request ticks exactly one of
-// requests or errors.
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-func newEndpointMetrics(name string) endpointMetrics {
-	return endpointMetrics{
-		requests: obs.Default().Counter("serve_"+name+"_requests_total",
-			name+" queries served"),
-		errors: obs.Default().Counter("serve_"+name+"_errors_total",
-			name+" queries that failed (bad arguments, saturation or deadline)"),
-		latency: obs.Default().Histogram("serve_"+name+"_latency_seconds",
-			"end-to-end latency of served "+name+" queries", obs.DefBuckets),
-	}
+// serveHelp words the per-endpoint serve_* series.
+var serveHelp = api.Help{
+	Requests: "%s queries served",
+	Errors:   "%s queries that failed (bad arguments, saturation or deadline)",
+	Latency:  "end-to-end latency of served %s queries",
 }
 
 // Config parameterizes a Server. Zero values select the documented defaults.
@@ -122,7 +110,7 @@ type Config struct {
 	// GET /debug/slo (mount SLORoutes on the debug mux) and summarized in
 	// /healthz. Nil keeps the disabled path inert: no ticker goroutine, no
 	// extra metrics, byte-identical responses.
-	SLO *SLOConfig
+	SLO *api.SLOConfig
 	// Shadow, when non-nil with SampleN >= 1, enables shadow-sampled
 	// exact-vs-ANN quality observability: 1 in SampleN ANN-served similar and
 	// whitespace cache misses are re-executed as exact scans off the critical
@@ -265,6 +253,8 @@ func (s *Server) current() *state {
 // Server answers similarity, recommendation, white-space and inference
 // queries over an atomically swappable core.Index.
 type Server struct {
+	api.Readiness // GET /readyz; SetReady(false) when draining begins
+
 	cfg     Config
 	load    Loader
 	cur     atomic.Pointer[state]
@@ -272,16 +262,10 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	gens    atomic.Uint64   // generation counter; the live state carries its value
-	slo     *SLOTracker     // nil when Config.SLO is nil (SLO tracking off)
+	shell   *api.Shell      // shell.SLO is nil when Config.SLO is nil (SLO tracking off)
 	shadow  *shadow.Sampler // nil when Config.Shadow is nil (shadow sampling off)
-	ready   atomic.Bool     // /readyz state; flipped false when draining begins
 	closed  atomic.Bool     // Close ran; guards the current generation's release
-
-	mSimilar    endpointMetrics
-	mRecommend  endpointMetrics
-	mWhitespace endpointMetrics
-	mInfer      endpointMetrics
-	mReload     endpointMetrics
+	mReload *api.Endpoint
 }
 
 // New builds a Server over an already-loaded generation. init.Model may be
@@ -299,37 +283,43 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 	}
 	registerBuildInfo()
 	s := &Server{
-		cfg:         cfg,
-		load:        load,
-		sem:         make(chan struct{}, cfg.MaxConcurrent),
-		started:     time.Now(),
-		mSimilar:    newEndpointMetrics("similar"),
-		mRecommend:  newEndpointMetrics("recommend"),
-		mWhitespace: newEndpointMetrics("whitespace"),
-		mInfer:      newEndpointMetrics("infer"),
-		mReload:     newEndpointMetrics("reload"),
+		cfg:     cfg,
+		load:    load,
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		started: time.Now(),
+	}
+	s.shell = &api.Shell{
+		Prefix:       "serve",
+		Help:         serveHelp,
+		Timeout:      cfg.Timeout,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Logger:       cfg.Logger,
+		Tracer:       cfg.Tracer,
+		Quiet:        cfg.Quiet,
+		LogAttrs:     func() []any { return []any{"gen", s.cur.Load().gen} },
 	}
 	if cfg.Shadow != nil && cfg.Shadow.SampleN >= 1 {
 		s.shadow = shadow.New(*cfg.Shadow)
 	}
 	if cfg.SLO != nil {
-		s.slo = NewSLOTracker(*cfg.SLO, "serve", []string{"similar", "recommend", "whitespace", "infer"})
+		s.shell.SLO = api.NewSLOTracker(*cfg.SLO, "serve", []string{"similar", "recommend", "whitespace", "infer"})
 		if s.shadow != nil {
-			s.slo.SetRecallSource(s.shadow)
+			s.shell.SLO.SetRecallSource(s.shadow)
 		}
 	}
-	s.ready.Store(true)
+	similar, recommend := s.shell.Endpoint("similar"), s.shell.Endpoint("recommend")
+	s.mReload = s.shell.Endpoint("reload")
 	first := &state{ix: ix, model: model, cache: newLRU(cfg.CacheSize), gen: s.gens.Add(1), close: init.Close}
 	first.refs.Store(1)
 	s.cur.Store(first)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /v1/similar/{id}", s.limited("similar", &s.mSimilar, s.handleSimilar))
-	mux.HandleFunc("GET /v1/recommend/{id}", s.limited("recommend", &s.mRecommend, s.handleRecommend))
-	mux.HandleFunc("POST /v1/whitespace", s.limited("whitespace", &s.mWhitespace, s.handleWhitespace))
-	mux.HandleFunc("POST /v1/infer", s.limited("infer", &s.mInfer, s.handleInfer))
-	mux.HandleFunc("POST /internal/recommend", s.limited("recommend", &s.mRecommend, s.handleInternalRecommend))
+	mux.Handle("GET /readyz", &s.Readiness)
+	mux.HandleFunc("GET /v1/similar/{id}", s.query(similar, s.handleSimilar))
+	mux.HandleFunc("GET /v1/recommend/{id}", s.query(recommend, s.handleRecommend))
+	mux.HandleFunc("POST /v1/whitespace", s.query(s.shell.Endpoint("whitespace"), s.handleWhitespace))
+	mux.HandleFunc("POST /v1/infer", s.query(s.shell.Endpoint("infer"), s.handleInfer))
+	mux.HandleFunc("POST /internal/recommend", s.query(recommend, s.handleInternalRecommend))
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
 	// With shadow sampling on, /debug/recall also mounts on the main mux so
 	// routers and load generators — which only know the serving address —
@@ -339,29 +329,6 @@ func New(init Loaded, load Loader, cfg Config) (*Server, error) {
 	}
 	s.mux = mux
 	return s, nil
-}
-
-// SetReady flips the /readyz state. Flip it to false at the start of a
-// graceful shutdown — before connection draining begins — so load balancers
-// and routers stop sending new work while in-flight requests finish; a
-// scatter-gather router treats a not-ready shard exactly like one with a
-// tripped breaker.
-func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
-
-// Ready reports the /readyz state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
-// handleReady serves GET /readyz: 200 while serving, 503 once draining. It
-// is distinct from /healthz (liveness): a draining process is still alive
-// and answering in-flight queries, it just must not receive new ones.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !s.ready.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte("{\"status\":\"draining\"}\n"))
-		return
-	}
-	_, _ = w.Write([]byte("{\"status\":\"ready\"}\n"))
 }
 
 // buildInfo is resolved once: the Go toolchain, main-module version and VCS
@@ -422,44 +389,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Index returns the current serving index (the generation new requests see).
 func (s *Server) Index() *core.Index { return s.cur.Load().ix }
 
-// apiError pairs an HTTP status with the underlying error.
-type apiError struct {
-	status int
-	err    error
-}
-
-func (e *apiError) Error() string { return e.err.Error() }
-func (e *apiError) Unwrap() error { return e.err }
-
-func badRequest(format string, args ...any) error {
-	return &apiError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
-// bodyError classifies a request-body decode failure: a MaxBytesReader trip
-// becomes 413 with the limit named, anything else is a plain 400.
-func bodyError(endpoint string, err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return &apiError{status: http.StatusRequestEntityTooLarge,
-			err: fmt.Errorf("serve: %s request body exceeds the %d-byte limit", endpoint, mbe.Limit)}
-	}
-	return badRequest("serve: bad %s request body: %v", endpoint, err)
-}
-
-// statusFor maps an error to its response status: explicit apiError status,
-// 504 for deadline/cancellation, else 400 (the remaining errors are core's
-// argument validation).
-func statusFor(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusGatewayTimeout
-	}
-	return http.StatusBadRequest
-}
-
 // response is one handler result: either pre-marshalled bytes (cache hit)
 // or a value to marshal, optionally stored under cacheKey afterwards.
 type response struct {
@@ -470,179 +399,44 @@ type response struct {
 
 type handlerFunc func(ctx context.Context, st *state, r *http.Request) (response, error)
 
-// limited wraps a query handler with the serving pipeline: per-request
-// deadline, bounded concurrency, state capture, disjoint served/error
-// accounting and response marshalling (plus cache fill for cacheable
-// responses). It is also the request-scoped observability shell: each request
-// runs under a "serve.<name>" root span — joining the caller's distributed
-// trace when a W3C traceparent header is presented, and echoing the assigned
-// IDs back in the response's traceparent header — and ends with one
-// structured access-log line plus a dedicated slow-query line when the
-// duration reaches the tracer's slow threshold.
-func (s *Server) limited(name string, m *endpointMetrics, h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		var sp *trace.Span
-		if tp, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx, sp = s.cfg.Tracer.StartRemote(ctx, tp, "serve."+name)
-		} else {
-			ctx, sp = s.cfg.Tracer.Start(ctx, "serve."+name)
-		}
-		if sp.Active() {
-			sp.Attr("method", r.Method)
-			sp.Attr("path", r.URL.Path)
-			w.Header().Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-		}
-		status := http.StatusOK
-		defer func() {
-			sp.AttrInt("status", int64(status))
-			sp.End()
-			s.slo.Record(name, status, time.Since(start))
-			s.logRequest(r, name, status, time.Since(start), sp)
-		}()
+// errServerClosed answers requests that arrive after Server.Close dropped
+// the last generation.
+var errServerClosed = api.Errorf(http.StatusServiceUnavailable, "serve: server closed")
 
-		ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(r))
-		defer cancel()
+// query runs a query handler inside the shared request shell, adding the
+// serving half of the pipeline: bounded concurrency (a request waits for a
+// slot until its deadline, then fails 503 and ticks serve_throttled_total),
+// a reference on the current generation for the whole request, and response
+// marshalling with cache fill for cacheable responses.
+func (s *Server) query(ep *api.Endpoint, h handlerFunc) http.HandlerFunc {
+	return s.shell.Wrap(ep, func(ctx context.Context, _ http.ResponseWriter, r *http.Request) (api.Reply, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-ctx.Done():
 			throttled.Inc()
-			m.errors.Inc()
-			status = http.StatusServiceUnavailable
-			err := errors.New("serve: saturated, retry later")
-			sp.Error(err)
-			s.writeError(w, r, status, err)
-			return
+			return api.Reply{}, api.Errorf(http.StatusServiceUnavailable, "serve: saturated, retry later")
 		}
 		defer func() { <-s.sem }()
 		inflight.Add(1)
 		defer inflight.Add(-1)
 
-		// Bound POST bodies before the handler decodes them: a body past the
-		// cap surfaces as *http.MaxBytesError from the JSON decoder and maps
-		// to 413 (and MaxBytesReader also closes the connection, so a huge
-		// upload stops early instead of being read to the end and discarded).
-		if r.Body != nil && s.cfg.MaxBodyBytes > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
-
 		// Hold a reference on the generation for the whole request: a reload
 		// swapping it out must not munmap its matrices under our feet.
 		st := s.current()
 		if st == nil { // Server.Close ran; the last generation is gone
-			m.errors.Inc()
-			status = http.StatusServiceUnavailable
-			err := errors.New("serve: server closed")
-			sp.Error(err)
-			s.writeError(w, r, status, err)
-			return
+			return api.Reply{}, errServerClosed
 		}
 		defer st.release()
 		resp, err := h(ctx, st, r)
-		if err != nil {
-			m.errors.Inc()
-			status = statusFor(err)
-			sp.Error(err)
-			s.writeError(w, r, status, err)
-			return
+		if err != nil || resp.raw != nil {
+			return api.Reply{Body: resp.raw}, err
 		}
-		body := resp.raw
-		if body == nil {
-			if body, err = json.Marshal(resp.value); err != nil {
-				m.errors.Inc()
-				status = http.StatusInternalServerError
-				sp.Error(err)
-				s.writeError(w, r, status, err)
-				return
-			}
-			body = append(body, '\n')
-			if resp.cacheKey != "" {
-				st.cache.put(resp.cacheKey, body)
-			}
+		body, err := api.Encode(resp.value)
+		if err == nil && resp.cacheKey != "" {
+			st.cache.put(resp.cacheKey, body)
 		}
-		m.requests.Inc()
-		// Traced requests leave their trace ID as a bucket exemplar on the
-		// latency histogram; untraced traffic keeps the allocation-free path.
-		if sp.Active() {
-			m.latency.ObserveExemplar(time.Since(start).Seconds(), sp.TraceID().String())
-		} else {
-			m.latency.Observe(time.Since(start).Seconds())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-	}
-}
-
-// requestTimeout returns the per-request deadline: cfg.Timeout, optionally
-// tightened by a timeout_ms query parameter. The parameter can only shrink
-// the deadline — it is capped at cfg.Timeout — so clients can bound their own
-// tail latency but never extend the server's.
-func (s *Server) requestTimeout(r *http.Request) time.Duration {
-	d := s.cfg.Timeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		if ms, err := strconv.ParseFloat(v, 64); err == nil && ms > 0 {
-			if t := time.Duration(ms * float64(time.Millisecond)); t < d {
-				d = t
-			}
-		}
-	}
-	return d
-}
-
-// logRequest emits one structured access-log line per request: endpoint,
-// method, path, status, duration, serving generation and — when traced — the
-// trace ID to paste into /debug/traces/{id}. Failures (status >= 400) log at
-// Warn and survive Quiet; successes log at Info unless Quiet. Requests at or
-// over the tracer's slow threshold additionally get a dedicated slow-query
-// line, which also survives Quiet.
-func (s *Server) logRequest(r *http.Request, name string, status int, dur time.Duration, sp *trace.Span) {
-	attrs := []any{
-		"endpoint", name,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", status,
-		"dur_ms", float64(dur.Microseconds()) / 1e3,
-		"gen", s.cur.Load().gen,
-	}
-	if sp.Active() {
-		attrs = append(attrs, "trace", sp.TraceID().String())
-	}
-	switch {
-	case status >= 400:
-		s.cfg.Logger.Warn("request", attrs...)
-	case !s.cfg.Quiet:
-		s.cfg.Logger.Info("request", attrs...)
-	}
-	if slow := s.cfg.Tracer.SlowThreshold(); slow > 0 && dur >= slow {
-		s.cfg.Logger.Warn("slow query", attrs...)
-	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.cfg.Logger.Debug("request failed", "path", r.URL.Path, "status", status, "err", err.Error())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// filterParams mirrors core.Filter in the JSON body shape of the POST
-// endpoints; zero values mean "any", as in core.
-type filterParams struct {
-	SIC2         int     `json:"sic2,omitempty"`
-	Country      string  `json:"country,omitempty"`
-	MinEmployees int     `json:"min_employees,omitempty"`
-	MaxEmployees int     `json:"max_employees,omitempty"`
-	MinRevenueM  float64 `json:"min_revenue_m,omitempty"`
-	MaxRevenueM  float64 `json:"max_revenue_m,omitempty"`
-}
-
-func (p filterParams) filter() core.Filter {
-	return core.Filter{
-		SIC2: p.SIC2, Country: p.Country,
-		MinEmployees: p.MinEmployees, MaxEmployees: p.MaxEmployees,
-		MinRevenueM: p.MinRevenueM, MaxRevenueM: p.MaxRevenueM,
-	}
+		return api.Reply{Body: body}, err
+	})
 }
 
 // filterFromQuery parses the core.Filter fields from URL query parameters.
@@ -675,7 +469,7 @@ func intParam(q url.Values, name string) (int, error) {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, badRequest("serve: parameter %s=%q is not an integer", name, v)
+		return 0, api.BadRequest("serve: parameter %s=%q is not an integer", name, v)
 	}
 	return n, nil
 }
@@ -687,7 +481,7 @@ func floatParam(q url.Values, name string) (float64, error) {
 	}
 	x, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, badRequest("serve: parameter %s=%q is not a number", name, v)
+		return 0, api.BadRequest("serve: parameter %s=%q is not a number", name, v)
 	}
 	return x, nil
 }
@@ -697,68 +491,9 @@ func pathID(r *http.Request) (int, error) {
 	raw := r.PathValue("id")
 	id, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, badRequest("serve: company id %q is not an integer", raw)
+		return 0, api.BadRequest("serve: company id %q is not an integer", raw)
 	}
 	return id, nil
-}
-
-// JSON response shapes.
-
-type matchJSON struct {
-	CompanyID  int     `json:"company_id"`
-	Name       string  `json:"name"`
-	Similarity float64 `json:"similarity"`
-}
-
-type similarResponse struct {
-	CompanyID int         `json:"company_id"`
-	Name      string      `json:"name"`
-	K         int         `json:"k"`
-	Matches   []matchJSON `json:"matches"`
-}
-
-type recommendationJSON struct {
-	Category int     `json:"category"`
-	Name     string  `json:"name"`
-	Strength float64 `json:"strength"`
-	Owners   int     `json:"owners"`
-}
-
-type recommendResponse struct {
-	CompanyID       int                  `json:"company_id"`
-	Name            string               `json:"name"`
-	Peers           int                  `json:"peers"`
-	Recommendations []recommendationJSON `json:"recommendations"`
-}
-
-type prospectJSON struct {
-	CompanyID     int     `json:"company_id"`
-	Name          string  `json:"name"`
-	NearestClient int     `json:"nearest_client"`
-	Similarity    float64 `json:"similarity"`
-}
-
-type whitespaceRequest struct {
-	Clients []int        `json:"clients"`
-	K       int          `json:"k,omitempty"`
-	Filter  filterParams `json:"filter"`
-}
-
-type whitespaceResponse struct {
-	K         int            `json:"k"`
-	Prospects []prospectJSON `json:"prospects"`
-}
-
-type inferRequest struct {
-	Owned  []int        `json:"owned"`
-	K      int          `json:"k,omitempty"`
-	Filter filterParams `json:"filter"`
-}
-
-type inferResponse struct {
-	Theta   []float64   `json:"theta"`
-	K       int         `json:"k"`
-	Matches []matchJSON `json:"matches"`
 }
 
 type healthResponse struct {
@@ -772,7 +507,7 @@ type healthResponse struct {
 	UptimeSec  float64        `json:"uptime_seconds"`
 	Tracing    bool           `json:"tracing"`
 	Build      buildInfoJSON  `json:"build"`
-	SLO        *sloHealthJSON `json:"slo,omitempty"` // present only with SLO tracking on
+	SLO        *api.SLOHealth `json:"slo,omitempty"` // present only with SLO tracking on
 	// Partition is present only on a shard-mode server (ibserve -shard i/n):
 	// which slice of the corpus this process's candidate scans own.
 	Partition *partitionJSON `json:"partition,omitempty"`
@@ -825,7 +560,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// dropped concurrently.
 	st := s.current()
 	if st == nil { // Server.Close ran; the last generation is gone
-		s.writeError(w, r, http.StatusServiceUnavailable, errors.New("serve: server closed"))
+		s.shell.WriteError(w, r, http.StatusServiceUnavailable, errServerClosed)
 		return
 	}
 	defer st.release()
@@ -839,13 +574,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:  time.Since(s.started).Seconds(),
 		Tracing:    s.cfg.Tracer.Enabled(),
 		Build:      readBuildInfo(),
+		SLO:        s.shell.SLO.Health(),
 	}
 	if st.model != nil {
 		resp.Topics = st.model.K
-	}
-	if s.slo != nil {
-		slo := s.slo.Status()
-		resp.SLO = &sloHealthJSON{OK: slo.OK, Burning: slo.Burning}
 	}
 	if part, parts := st.ix.Partition(); parts > 1 {
 		resp.Partition = &partitionJSON{Index: part, Of: parts, Companies: st.ix.OwnedCompanies()}
@@ -866,13 +598,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-func (s *Server) matches(st *state, ms []core.Match) []matchJSON {
-	out := make([]matchJSON, len(ms))
+func (s *Server) matches(st *state, ms []core.Match) []api.Match {
+	out := make([]api.Match, len(ms))
 	for i, m := range ms {
-		out[i] = matchJSON{
+		out[i] = api.Match{
 			CompanyID:  m.CompanyID,
 			Name:       st.ix.Corpus.Companies[m.CompanyID].Name,
 			Similarity: m.Similarity,
+		}
+	}
+	return out
+}
+
+func recommendations(recs []core.ProductRecommendation) []api.Recommendation {
+	out := make([]api.Recommendation, len(recs))
+	for i, rec := range recs {
+		out[i] = api.Recommendation{
+			Category: rec.Category, Name: rec.Name,
+			Strength: rec.Strength, Owners: rec.Owners,
 		}
 	}
 	return out
@@ -973,7 +716,7 @@ func (s *Server) handleSimilar(ctx context.Context, st *state, r *http.Request) 
 		s.shadowSubmit(ctx, st, shadow.Query{Kind: "similar", ID: id, K: k, Filter: f}, shadowMatches(ms))
 	}
 	return response{
-		value: similarResponse{
+		value: api.SimilarResponse{
 			CompanyID: id,
 			Name:      st.ix.Corpus.Companies[id].Name,
 			K:         k,
@@ -1008,34 +751,27 @@ func (s *Server) handleRecommend(ctx context.Context, st *state, r *http.Request
 	if err != nil {
 		return response{}, err
 	}
-	out := make([]recommendationJSON, len(recs))
-	for i, rec := range recs {
-		out[i] = recommendationJSON{
-			Category: rec.Category, Name: rec.Name,
-			Strength: rec.Strength, Owners: rec.Owners,
-		}
-	}
 	return response{
-		value: recommendResponse{
+		value: api.RecommendResponse{
 			CompanyID:       id,
 			Name:            st.ix.Corpus.Companies[id].Name,
 			Peers:           peers,
-			Recommendations: out,
+			Recommendations: recommendations(recs),
 		},
 		cacheKey: key,
 	}, nil
 }
 
 func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Request) (response, error) {
-	var req whitespaceRequest
+	var req api.WhitespaceRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("whitespace", err)
+		return response{}, api.BodyError("serve", "whitespace", err)
 	}
 	k := req.K
 	if k == 0 {
 		k = s.cfg.DefaultK
 	}
-	f := req.Filter.filter()
+	f := req.Filter.Filter()
 	sampled := s.shadow != nil && st.ix.Pruner() != nil && s.shadow.Sample()
 	prospects, err := st.ix.WhitespaceContext(ctx, req.Clients, k, f)
 	if err != nil {
@@ -1045,33 +781,32 @@ func (s *Server) handleWhitespace(ctx context.Context, st *state, r *http.Reques
 		q := shadow.Query{Kind: "whitespace", Clients: append([]int(nil), req.Clients...), K: k, Filter: f}
 		s.shadowSubmit(ctx, st, q, shadowProspects(prospects))
 	}
-	out := make([]prospectJSON, len(prospects))
+	out := make([]api.Prospect, len(prospects))
 	for i, p := range prospects {
-		out[i] = prospectJSON{
+		out[i] = api.Prospect{
 			CompanyID:     p.CompanyID,
 			Name:          st.ix.Corpus.Companies[p.CompanyID].Name,
 			NearestClient: p.NearestClient,
 			Similarity:    p.Similarity,
 		}
 	}
-	return response{value: whitespaceResponse{K: k, Prospects: out}}, nil
+	return response{value: api.WhitespaceResponse{K: k, Prospects: out}}, nil
 }
 
 func (s *Server) handleInfer(ctx context.Context, st *state, r *http.Request) (response, error) {
 	if st.model == nil {
-		return response{}, &apiError{status: http.StatusNotImplemented,
-			err: errors.New("serve: no model loaded; /v1/infer unavailable")}
+		return response{}, api.Errorf(http.StatusNotImplemented, "serve: no model loaded; /v1/infer unavailable")
 	}
-	var req inferRequest
+	var req api.InferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("infer", err)
+		return response{}, api.BodyError("serve", "infer", err)
 	}
 	if len(req.Owned) == 0 {
-		return response{}, badRequest("serve: infer request needs a non-empty owned category set")
+		return response{}, api.BadRequest("serve: infer request needs a non-empty owned category set")
 	}
 	for _, cat := range req.Owned {
 		if cat < 0 || cat >= st.model.V {
-			return response{}, badRequest("serve: owned category %d outside [0,%d)", cat, st.model.V)
+			return response{}, api.BadRequest("serve: owned category %d outside [0,%d)", cat, st.model.V)
 		}
 	}
 	k := req.K
@@ -1081,38 +816,18 @@ func (s *Server) handleInfer(ctx context.Context, st *state, r *http.Request) (r
 	// A fresh stream per request keeps fold-in inference deterministic for
 	// identical requests and safe under concurrency (no shared RNG state).
 	theta := st.model.InferTheta(req.Owned, rng.New(s.cfg.Seed))
-	ms, err := st.ix.TopKByVectorContext(ctx, theta, k, req.Filter.filter())
+	ms, err := st.ix.TopKByVectorContext(ctx, theta, k, req.Filter.Filter())
 	if err != nil {
 		return response{}, err
 	}
-	return response{value: inferResponse{Theta: theta, K: k, Matches: s.matches(st, ms)}}, nil
-}
-
-// internalRecommendRequest is the body of POST /internal/recommend — the
-// shard-side half of two-phase sharded recommendation. A scatter-gather
-// router first merges the global top-k peer set from every shard's
-// /v1/similar answer, then posts it here so one shard (every shard holds the
-// full corpus and representations — only the candidate scans are
-// partitioned) scores the gap-based recommendations over the exact peers the
-// unsharded path would have used. Peers is the request's peer-count
-// parameter, echoed back so the response is byte-identical to
-// /v1/recommend/{id} on an unsharded server.
-type internalRecommendRequest struct {
-	CompanyID int             `json:"company_id"`
-	Peers     int             `json:"peers"`
-	Matches   []internalMatch `json:"matches"`
-}
-
-type internalMatch struct {
-	CompanyID  int     `json:"company_id"`
-	Similarity float64 `json:"similarity"`
+	return response{value: api.InferResponse{Theta: theta, K: k, Matches: s.matches(st, ms)}}, nil
 }
 
 func (s *Server) handleInternalRecommend(ctx context.Context, st *state, r *http.Request) (response, error) {
 	_ = ctx // scoring is O(peers); no candidate scan to cancel
-	var req internalRecommendRequest
+	var req api.InternalRecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return response{}, bodyError("internal recommend", err)
+		return response{}, api.BodyError("serve", "internal recommend", err)
 	}
 	peers := make([]core.Match, len(req.Matches))
 	for i, m := range req.Matches {
@@ -1122,19 +837,12 @@ func (s *Server) handleInternalRecommend(ctx context.Context, st *state, r *http
 	if err != nil {
 		return response{}, err
 	}
-	out := make([]recommendationJSON, len(recs))
-	for i, rec := range recs {
-		out[i] = recommendationJSON{
-			Category: rec.Category, Name: rec.Name,
-			Strength: rec.Strength, Owners: rec.Owners,
-		}
-	}
 	return response{
-		value: recommendResponse{
+		value: api.RecommendResponse{
 			CompanyID:       req.CompanyID,
 			Name:            st.ix.Corpus.Companies[req.CompanyID].Name,
 			Peers:           req.Peers,
-			Recommendations: out,
+			Recommendations: recommendations(recs),
 		},
 	}, nil
 }
@@ -1148,14 +856,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
 	if s.load == nil {
-		s.mReload.errors.Inc()
-		s.writeError(w, r, http.StatusNotImplemented, errors.New("serve: no loader configured"))
+		s.mReload.Errors.Inc()
+		s.shell.WriteError(w, r, http.StatusNotImplemented, errors.New("serve: no loader configured"))
 		return
 	}
 	loaded, err := s.load(r.Context())
 	if err != nil {
-		s.mReload.errors.Inc()
-		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: reload failed: %w", err))
+		s.mReload.Errors.Inc()
+		s.shell.WriteError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: reload failed: %w", err))
 		return
 	}
 	ix, model := loaded.Index, loaded.Model
@@ -1163,8 +871,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if loaded.Close != nil {
 			_ = loaded.Close()
 		}
-		s.mReload.errors.Inc()
-		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: reload rejected: %w", err))
+		s.mReload.Errors.Inc()
+		s.shell.WriteError(w, r, http.StatusInternalServerError, fmt.Errorf("serve: reload rejected: %w", err))
 		return
 	}
 	// Canary phase: before the incoming generation can take traffic, replay
@@ -1192,11 +900,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 				if loaded.Close != nil {
 					_ = loaded.Close()
 				}
-				s.mReload.errors.Inc()
+				s.mReload.Errors.Inc()
 				s.cfg.Logger.Warn("reload refused by canary guard",
 					"mean_jaccard", diff.MeanJaccard, "guard", g,
 					"recall_delta", diff.RecallDelta, "queries", diff.Queries)
-				s.writeError(w, r, http.StatusConflict,
+				s.shell.WriteError(w, r, http.StatusConflict,
 					fmt.Errorf("serve: reload refused: canary mean result-set Jaccard %.3f below guard %.3f over %d replayed queries (recall delta %+.3f)",
 						diff.MeanJaccard, g, diff.Queries, diff.RecallDelta))
 				return
@@ -1211,8 +919,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// finishes — possibly right here, if none are running.
 	old.release()
 	reloadsTotal.Inc()
-	s.mReload.requests.Inc()
-	s.mReload.latency.Observe(time.Since(start).Seconds())
+	s.mReload.Requests.Inc()
+	s.mReload.Latency.Observe(time.Since(start).Seconds())
 	resp := reloadResponse{
 		Companies:   ix.Corpus.N(),
 		Dim:         ix.Reps.Cols,
@@ -1228,4 +936,31 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		"invalidated", resp.Invalidated, "gen", next.gen)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// SLORoutes returns the /debug/slo route for the -debug-addr mux, or nothing
+// when SLO tracking is off — the debug listener's route set is unchanged on
+// the disabled path.
+func (s *Server) SLORoutes() []obs.Route { return s.shell.SLO.Routes() }
+
+// ShadowRoutes returns the /debug/recall route for the -debug-addr mux, or
+// nothing when shadow sampling is off (same disabled-path contract as
+// SLORoutes). The same route is also mounted on the serving mux so routers
+// and load generators can scrape it without knowing the debug address.
+func (s *Server) ShadowRoutes() []obs.Route { return s.shadow.Routes() }
+
+// Close releases the server's background resources: the shadow sampler (its
+// worker drains, releasing any generation references queued samples hold),
+// the SLO rotation ticker, and the live generation's reference (so an
+// mmap-backed model is unmapped once in-flight requests drain). Stop routing
+// traffic here before Close; straggler requests that arrive anyway answer 503
+// (current() refuses the dead generation) rather than touch unmapped memory.
+// Safe to call more than once: the current-generation release is guarded so a
+// double Close cannot double-unmap.
+func (s *Server) Close() {
+	s.shadow.Close()
+	s.shell.SLO.Close()
+	if s.closed.CompareAndSwap(false, true) {
+		s.cur.Load().release()
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lda"
@@ -48,7 +49,7 @@ func testCorpus() *corpus.Corpus {
 
 // newTestServer trains a tiny LDA model over the fixture corpus and stands
 // up a Server over the resulting index.
-func newTestServer(t *testing.T, cfg Config) (*Server, *core.Index, *lda.Model) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *core.Index, *lda.Model) {
 	t.Helper()
 	c := testCorpus()
 	m, err := lda.TrainContext(context.Background(),
@@ -123,7 +124,7 @@ func TestSimilarEndpointMatchesDirectQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	served0 := counterValue("serve_similar_requests_total")
-	var got similarResponse
+	var got api.SimilarResponse
 	resp := getJSON(t, ts, "/v1/similar/4?k=5&country=US", &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -153,7 +154,7 @@ func TestRecommendEndpointMatchesDirectQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got recommendResponse
+	var got api.RecommendResponse
 	if resp := getJSON(t, ts, "/v1/recommend/2?peers=8", &got); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -169,7 +170,7 @@ func TestRecommendEndpointMatchesDirectQuery(t *testing.T) {
 
 	// A filter admitting no peers still serves a 200 with an empty list.
 	served0, errs0 := counterValue("serve_recommend_requests_total"), counterValue("serve_recommend_errors_total")
-	var empty recommendResponse
+	var empty api.RecommendResponse
 	if resp := getJSON(t, ts, "/v1/recommend/2?country=XX", &empty); resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty-answer status %d", resp.StatusCode)
 	}
@@ -194,8 +195,8 @@ func TestWhitespaceEndpointMatchesDirectQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got whitespaceResponse
-	req := whitespaceRequest{Clients: clients, K: 6, Filter: filterParams{Country: "DE"}}
+	var got api.WhitespaceResponse
+	req := api.WhitespaceRequest{Clients: clients, K: 6, Filter: api.FilterParams{Country: "DE"}}
 	if resp := postJSON(t, ts, "/v1/whitespace", req, &got); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -216,8 +217,8 @@ func TestInferEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	owned := []int{0, 5, 9}
-	var got inferResponse
-	req := inferRequest{Owned: owned, K: 4}
+	var got api.InferResponse
+	req := api.InferRequest{Owned: owned, K: 4}
 	if resp := postJSON(t, ts, "/v1/infer", req, &got); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -239,7 +240,7 @@ func TestInferEndpoint(t *testing.T) {
 		}
 	}
 	// Identical requests are deterministic.
-	var again inferResponse
+	var again api.InferResponse
 	postJSON(t, ts, "/v1/infer", req, &again)
 	if fmt.Sprint(again) != fmt.Sprint(got) {
 		t.Fatal("identical infer requests returned different responses")
@@ -247,7 +248,7 @@ func TestInferEndpoint(t *testing.T) {
 
 	// Out-of-vocabulary category is a 400.
 	errs0 := counterValue("serve_infer_errors_total")
-	if resp := postJSON(t, ts, "/v1/infer", inferRequest{Owned: []int{m.V}}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts, "/v1/infer", api.InferRequest{Owned: []int{m.V}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range category: status %d, want 400", resp.StatusCode)
 	}
 	if got := counterValue("serve_infer_errors_total"); got != errs0+1 {
@@ -289,7 +290,7 @@ func TestBadRequestsCountErrorsNotServed(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
-	if resp = postJSON(t, ts, "/v1/whitespace", whitespaceRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp = postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty client set: status %d, want 400", resp.StatusCode)
 	}
 	if got := counterValue("serve_whitespace_errors_total"); got != wsErrs0+2 {
@@ -322,7 +323,7 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	defer ts.Close()
 
 	hits0, misses0 := counterValue("serve_cache_hits_total"), counterValue("serve_cache_misses_total")
-	var first, second similarResponse
+	var first, second api.SimilarResponse
 	getJSON(t, ts, "/v1/similar/7?k=3", &first)
 	getJSON(t, ts, "/v1/similar/7?k=3", &second)
 	if fmt.Sprint(first) != fmt.Sprint(second) {
@@ -352,7 +353,7 @@ func TestCacheHitsAndReloadInvalidation(t *testing.T) {
 	if got := counterValue("serve_reloads_total"); got != reloads0+1 {
 		t.Fatalf("serve_reloads_total %d, want %d", got, reloads0+1)
 	}
-	var third similarResponse
+	var third api.SimilarResponse
 	getJSON(t, ts, "/v1/similar/7?k=3", &third)
 	if got := counterValue("serve_cache_misses_total"); got != misses0+3 {
 		t.Fatalf("post-reload query hit a stale cache (misses %d, want %d)", got, misses0+3)
@@ -406,7 +407,7 @@ func TestConcurrentRequestsWithReloads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				var out similarResponse
+				var out api.SimilarResponse
 				path := fmt.Sprintf("/v1/similar/%d?k=3", (g*20+i)%40)
 				resp, err := ts.Client().Get(ts.URL + path)
 				if err != nil {

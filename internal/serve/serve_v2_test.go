@@ -188,7 +188,7 @@ func TestGenerationCloseDeferredUntilRelease(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Simulate an in-flight request: take a reference like limited() does.
+	// Simulate an in-flight request: take a reference like the query closure does.
 	held := s.current()
 	if held != first {
 		t.Fatal("current() did not return the installed generation")

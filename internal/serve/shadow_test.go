@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -80,9 +81,9 @@ func TestShadowDisabledInvariance(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ { // POST surface too, twice to cover the cache-hit path
-		var respOff, respOn whitespaceResponse
-		postJSON(t, tsOff, "/v1/whitespace", whitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOff)
-		postJSON(t, tsOn, "/v1/whitespace", whitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOn)
+		var respOff, respOn api.WhitespaceResponse
+		postJSON(t, tsOff, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOff)
+		postJSON(t, tsOn, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, &respOn)
 		if fmt.Sprintf("%+v", respOff) != fmt.Sprintf("%+v", respOn) {
 			t.Fatalf("whitespace diverges with sampling on:\noff: %+v\non:  %+v", respOff, respOn)
 		}
@@ -129,7 +130,7 @@ func TestShadowSamplingPopulates(t *testing.T) {
 		}
 	}
 	getJSON(t, ts, "/v1/similar/0?k=5", nil) // cache hit: no decision, no sample
-	postJSON(t, ts, "/v1/whitespace", whitespaceRequest{Clients: []int{1, 2}, K: 5}, nil)
+	postJSON(t, ts, "/v1/whitespace", api.WhitespaceRequest{Clients: []int{1, 2}, K: 5}, nil)
 	waitCounter(t, "shadow_samples_total", samples0+7)
 	if got := counterValue("shadow_samples_total"); got != samples0+7 {
 		t.Fatalf("shadow_samples_total = %d, want exactly %d (cache hits must not sample)", got, samples0+7)

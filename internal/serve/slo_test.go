@@ -7,46 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
-
-func TestParseLatencyObjectives(t *testing.T) {
-	got, err := ParseLatencyObjectives("default=100ms, similar=50ms,infer=2s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]time.Duration{
-		"default": 100 * time.Millisecond,
-		"similar": 50 * time.Millisecond,
-		"infer":   2 * time.Second,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parsed %v, want %v", got, want)
-	}
-	for k, d := range want {
-		if got[k] != d {
-			t.Fatalf("objective %s = %v, want %v", k, got[k], d)
-		}
-	}
-	if got, err := ParseLatencyObjectives("  "); err != nil || got != nil {
-		t.Fatalf("blank input: %v, %v", got, err)
-	}
-	for _, bad := range []string{"similar", "similar=", "similar=fast", "similar=-5ms", "similar=0s"} {
-		if _, err := ParseLatencyObjectives(bad); err == nil {
-			t.Errorf("ParseLatencyObjectives(%q) did not fail", bad)
-		}
-	}
-
-	cfg := SLOConfig{Latency: want}
-	if d := cfg.latencyObjective("similar"); d != 50*time.Millisecond {
-		t.Fatalf("explicit objective %v", d)
-	}
-	if d := cfg.latencyObjective("recommend"); d != 100*time.Millisecond {
-		t.Fatalf("default-key fallback %v", d)
-	}
-	if d := (SLOConfig{}).latencyObjective("recommend"); d != DefaultSLOLatency {
-		t.Fatalf("constant fallback %v", d)
-	}
-}
 
 // TestSLOStatusAndDebugEndpoint drives a mixed workload through an
 // SLO-tracking server and pins the rolling evaluation: request and error
@@ -59,7 +22,7 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 		MaxConcurrent: 1,
 		Quiet:         true,
 		Logger:        discardLogger(),
-		SLO: &SLOConfig{
+		SLO: &api.SLOConfig{
 			Window:       time.Hour, // no rotation mid-test
 			Availability: 0.999,
 			// Generous objectives so LatencyOK is deterministic for the
@@ -92,16 +55,16 @@ func TestSLOStatusAndDebugEndpoint(t *testing.T) {
 		}
 	}()
 
-	tsSLO := httptest.NewServer(http.HandlerFunc(s.slo.handleSLO))
+	tsSLO := httptest.NewServer(s.SLORoutes()[0].Handler)
 	defer tsSLO.Close()
-	var st SLOStatus
+	var st api.SLOStatus
 	if resp := getJSON(t, tsSLO, "/debug/slo", &st); resp.StatusCode != http.StatusOK {
 		t.Fatal("debug/slo not served")
 	}
-	if st.WindowSec != 3600 || st.Availability != 0.999 || st.Buckets != DefaultSLOBuckets {
+	if st.WindowSec != 3600 || st.Availability != 0.999 || st.Buckets != api.DefaultSLOBuckets {
 		t.Fatalf("config echo %+v", st)
 	}
-	byName := map[string]SLOEndpointStatus{}
+	byName := map[string]api.SLOEndpointStatus{}
 	for _, e := range st.Endpoints {
 		byName[e.Endpoint] = e
 	}
@@ -175,7 +138,7 @@ func TestSLOMetricAndResponseInvariance(t *testing.T) {
 		{http.MethodPost, "/v1/infer", `{"owned":[0,1],"k":3}`, http.StatusOK},
 		{http.MethodGet, "/v1/similar/notanid", "", http.StatusBadRequest},
 	}
-	run := func(slo *SLOConfig) ([]string, map[string]uint64, *Server) {
+	run := func(slo *api.SLOConfig) ([]string, map[string]uint64, *Server) {
 		t.Helper()
 		s, _, _ := newTestServer(t, Config{Quiet: true, Logger: discardLogger(), SLO: slo})
 		ts := httptest.NewServer(s.Handler())
@@ -210,7 +173,7 @@ func TestSLOMetricAndResponseInvariance(t *testing.T) {
 	}
 
 	offBodies, offDeltas, offSrv := run(nil)
-	onBodies, onDeltas, onSrv := run(&SLOConfig{Window: time.Hour})
+	onBodies, onDeltas, onSrv := run(&api.SLOConfig{Window: time.Hour})
 	defer onSrv.Close()
 
 	for i := range specs {

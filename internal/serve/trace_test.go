@@ -385,27 +385,3 @@ func TestConcurrentTracedLoad(t *testing.T) {
 		}
 	}
 }
-
-// TestRequestTimeoutParam pins the timeout_ms contract: the parameter can
-// only shrink the configured deadline, never extend it.
-func TestRequestTimeoutParam(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{Timeout: 100 * time.Millisecond, Quiet: true, Logger: discardLogger()})
-	cases := []struct {
-		query string
-		want  time.Duration
-	}{
-		{"", 100 * time.Millisecond},
-		{"timeout_ms=5", 5 * time.Millisecond},
-		{"timeout_ms=0.5", 500 * time.Microsecond},
-		{"timeout_ms=500", 100 * time.Millisecond}, // capped at cfg.Timeout
-		{"timeout_ms=0", 100 * time.Millisecond},
-		{"timeout_ms=-3", 100 * time.Millisecond},
-		{"timeout_ms=junk", 100 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/v1/similar/1?"+tc.query, nil)
-		if got := s.requestTimeout(r); got != tc.want {
-			t.Errorf("timeout for %q = %v, want %v", tc.query, got, tc.want)
-		}
-	}
-}

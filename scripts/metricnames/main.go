@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/mat"
@@ -65,7 +66,7 @@ func main() {
 		Quiet:       true,
 		Shadow:      &shadow.Config{SampleN: 1},
 		ReloadGuard: 0.9,
-		SLO:         &serve.SLOConfig{Recall: 0.9},
+		SLO:         &api.SLOConfig{Recall: 0.9},
 	})
 	if err != nil {
 		fatal(err)
@@ -74,7 +75,7 @@ func main() {
 	rt, err := router.New(router.Config{
 		Shards:        []string{"127.0.0.1:9"},
 		ProbeInterval: -1,
-		SLO:           &serve.SLOConfig{},
+		SLO:           &api.SLOConfig{},
 	})
 	if err != nil {
 		fatal(err)
